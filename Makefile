@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt tidy vet build test race golden golden-update bench-parallel bench-hotpath bench-serve chaos chaos-serve fuzz-buddy cover serve-smoke cluster-smoke
+.PHONY: check fmt tidy vet build test race golden golden-update bench-parallel bench-hotpath bench-serve bench-smoke chaos chaos-serve fuzz-buddy cover serve-smoke cluster-smoke
 
 check: fmt tidy vet build test race golden
 
@@ -57,6 +57,12 @@ bench-parallel:
 # schema and the cross-PR measurement methodology).
 bench-hotpath:
 	./scripts/bench_hotpath.sh
+
+# The repository benchmark (bench/) is a Go module of its own, so the
+# root `go test ./...` never compiles it. Its smoke test runs every
+# workload briefly against the current tree (~12 s).
+bench-smoke:
+	cd bench && $(GO) test -count=1 .
 
 # Serving-path trajectory: drive a self-hosted server with coltload's
 # zipf-skewed closed loop and rewrite BENCH_serve.json at the repo

@@ -174,36 +174,19 @@ func BenchmarkAblationAllL2Fill(b *testing.B) {
 // Micro-benchmarks for the simulator's hot paths.
 // ---------------------------------------------------------------------
 
-// BenchmarkHotPath meters the batched reference engine — the loop every
+// BenchmarkHotPath meters the per-reference step — the loop every
 // served byte comes out of — as references per second on the standing
 // fixture (Mcf × THS-on × four standard variants). scripts/
 // bench_hotpath.sh turns its output into BENCH_hotpath.json, the
 // per-PR refs/sec trajectory.
 func BenchmarkHotPath(b *testing.B) {
-	h, err := experiments.NewHotPath(0)
+	h, err := experiments.NewHotPath()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := h.Steps(b.N); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkHotPathScalar meters the scalar (batch size 1) loop on the
-// same fixture — the fallback path traced jobs take. Note this is the
-// current tree's scalar loop, which shares the data-layout work; the
-// BENCH_hotpath.json speedup gate is measured against the *pre-PR*
-// loop instead (see EXPERIMENTS.md).
-func BenchmarkHotPathScalar(b *testing.B) {
-	h, err := experiments.NewHotPath(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := h.StepsScalar(b.N); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -3,7 +3,8 @@ package cache
 import "colt/internal/arch"
 
 // This file implements the shared L1/L2 "front" of the split cache
-// hierarchy the batched simulator uses. Every TLB variant translates
+// hierarchy the experiment engine's per-reference loop uses (one Front
+// per job, advanced once per reference). Every TLB variant translates
 // the same reference stream against the same page table, so the
 // physical data-access stream entering L1 — and therefore the entire
 // L1 and L2 state evolution — is identical across variants; only the

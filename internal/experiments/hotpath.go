@@ -10,20 +10,18 @@ import (
 // on, normal compaction" with the standard four variants at
 // QuickOptions scale, warmed up and ready to step. It pins the refs/sec
 // trajectory tracked in BENCH_hotpath.json: BenchmarkHotPath (repo
-// root) drives Steps, the scalar baseline drives StepsScalar, and both
-// run exactly the code RunBenchmark runs — the fixture exists so the
-// benchmark can meter steady-state stepping without re-paying system
-// build and warmup per measurement.
+// root) drives Steps, which runs exactly the per-reference step
+// RunBenchmark runs — the fixture exists so the benchmark can meter
+// steady-state stepping without re-paying system build and warmup per
+// measurement.
 type HotPath struct {
 	b   *benchSim
 	ref int
 }
 
-// NewHotPath builds and warms the fixture. batch sizes the reference
-// batches exactly as Options.BatchSize would (0 selects the default).
-func NewHotPath(batch int) (*HotPath, error) {
+// NewHotPath builds and warms the fixture.
+func NewHotPath() (*HotPath, error) {
 	opts := QuickOptions()
-	opts.BatchSize = batch
 	spec, err := workload.ByName("Mcf")
 	if err != nil {
 		return nil, err
@@ -39,27 +37,8 @@ func NewHotPath(batch int) (*HotPath, error) {
 	return h, nil
 }
 
-// Steps runs n references through the batched engine (stepBatch, the
-// loop RunBenchmark drives in steady state).
+// Steps runs n references through step.
 func (h *HotPath) Steps(n int) error {
-	for done := 0; done < n; {
-		max := len(h.b.batch)
-		if left := n - done; max > left {
-			max = left
-		}
-		ran, err := h.b.stepBatch(h.ref, max)
-		if err != nil {
-			return err
-		}
-		h.ref += ran
-		done += ran
-	}
-	return nil
-}
-
-// StepsScalar runs n references through the pre-batching scalar loop
-// (step), the baseline the refs/sec speedup is measured against.
-func (h *HotPath) StepsScalar(n int) error {
 	for i := 0; i < n; i++ {
 		if err := h.b.step(h.ref); err != nil {
 			return err

@@ -74,14 +74,6 @@ type Options struct {
 	// each job's randomness derives from (Seed, benchmark, setup) via
 	// rng.Stream, never from scheduling order.
 	Parallel int
-	// BatchSize is how many references the benchmark hot loop decodes
-	// and simulates per batch (0 selects DefaultBatchSize, 1 forces the
-	// scalar path). Like Parallel it is a pure execution-shape knob:
-	// results are byte-identical at every batch size — batches stop at
-	// swap-in faults, churn bursts, and cancellation checkpoints so no
-	// observable event moves — and it is likewise excluded from
-	// Snapshot.
-	BatchSize int
 	// Metrics, when non-nil, receives one structured Record per
 	// (benchmark × setup) job from every driver, forming the
 	// machine-readable run report (see internal/metrics). Collection
@@ -173,23 +165,8 @@ func (o Options) pool() *sched.Pool {
 
 // ctxCheckEvery is how many references a simulation loop runs between
 // cancellation checks: frequent enough that DELETE/SIGINT feels
-// immediate, rare enough to stay invisible in the hot path. Reference
-// batches are clipped to these checkpoints, so batching never delays a
-// cancellation beyond the scalar loop's latency.
+// immediate, rare enough to stay invisible in the hot path.
 const ctxCheckEvery = 4096
-
-// DefaultBatchSize is the hot loop's reference-batch size when
-// Options.BatchSize is zero: big enough to amortize per-batch work,
-// small enough that a batch is a sliver of a cancellation window.
-const DefaultBatchSize = 256
-
-// batchSize resolves the configured batch size.
-func (o Options) batchSize() int {
-	if o.BatchSize <= 0 {
-		return DefaultBatchSize
-	}
-	return o.BatchSize
-}
 
 // canceled reports the run context's cancellation error, or nil. It
 // is cheap enough to call at phase boundaries unconditionally; inner
@@ -661,44 +638,19 @@ type benchSim struct {
 	//
 	//   hasPlane  — a fault plane is attached; step crosses the
 	//               trace-corrupt site per reference.
-	//   hasTracer — an event ring is attached. Ring entries record the
-	//               interleaving of variants within one reference, so
-	//               traced jobs keep the reference-major scalar loop;
-	//               stepBatch falls back to step.
-	//   telPerRef — telemetry sinks are attached; the batch loop must
-	//               replay per-reference refClock values inside each
-	//               variant's run so entry birth times (and hence
-	//               lifetime histograms) match the scalar loop exactly.
+	//   hasTracer — an event ring is attached; step advances its clock
+	//               per reference.
 	hasPlane  bool
 	hasTracer bool
-	telPerRef bool
-	// batch is the reused reference-decode buffer (len = batch size);
-	// the steady-state zero-allocation guarantee covers the batch path.
-	batch []workload.Ref
 
 	// front is the shared L1/L2 data-cache pair. Every variant
 	// translates the same reference stream to the same physical
-	// addresses (the page table is common; stepBatch checks the
+	// addresses (the page table is common; step checks the
 	// translations agree), so the L1/L2 state evolution is identical
 	// across variants and is simulated once per reference. Only each
 	// variant's private LLC — perturbed by its own walker's PTE
 	// fetches — replays the front's recorded LLC-bound requests.
 	front *cache.Front
-	// frontRecs and frontEvents are the reused batch-capture buffers:
-	// variant 0's pass over a batch advances the front and records,
-	// per reference, the front latency, the demand-miss flag, the
-	// translated PFN (for the divergence check), and a span into
-	// frontEvents; the other variants replay from the recording.
-	frontRecs   []frontRec
-	frontEvents []cache.LLCEvent
-}
-
-// frontRec is one reference's captured front outcome (see benchSim.front).
-type frontRec struct {
-	pfn    arch.PFN
-	lat    int32
-	lo, hi int32 // LLC-bound request span in frontEvents
-	demand bool  // events[lo] is the latency-critical demand fill
 }
 
 // newBenchSim boots the system, fragments it, builds the workload, and
@@ -734,12 +686,9 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 		histograms: opts.Histograms,
 		hasPlane:   plane != nil,
 		hasTracer:  tracer != nil,
-		batch:      make([]workload.Ref, opts.batchSize()),
 		front:      cache.NewFront(),
-		frontRecs:  make([]frontRec, opts.batchSize()),
 	}
 	telemetryOn := opts.telemetryOn()
-	b.telPerRef = telemetryOn
 	if telemetryOn {
 		proc.Table.SetWalkDepthHist(&b.walkDepth)
 	}
@@ -823,7 +772,12 @@ func (b *benchSim) step(ref int) error {
 		} else if res.PFN != pfn0 {
 			return fmt.Errorf("%s/%s: translation diverges at vpn %d", b.spec.Name, s.name, vpn)
 		}
-		lat := frontLat + s.replayLLC(events, demandMiss)
+		// Most references are satisfied inside the shared L1/L2 and
+		// record no LLC-bound requests; skip the replay call for those.
+		lat := frontLat
+		if len(events) != 0 {
+			lat += s.replayLLC(events, demandMiss)
+		}
 		if lat > l1HitLatency {
 			s.memStall += uint64(lat - l1HitLatency)
 		}
@@ -831,13 +785,9 @@ func (b *benchSim) step(ref int) error {
 	// Oracle check (sampled): every variant must agree with the
 	// page table.
 	if ref%1024 == 0 {
-		want, _, ok := b.proc.Resolve(vpn)
-		if !ok {
-			return fmt.Errorf("%s: vpn %d vanished", b.spec.Name, vpn)
-		}
 		for _, s := range b.sims {
-			if got, hit := s.hier.L2().LookupRun(vpn); hit && got.Translate(vpn) != want {
-				return fmt.Errorf("%s/%s: stale L2 entry for vpn %d", b.spec.Name, s.name, vpn)
+			if err := b.oracleCheck(s, vpn); err != nil {
+				return err
 			}
 		}
 	}
@@ -845,8 +795,8 @@ func (b *benchSim) step(ref int) error {
 }
 
 // oracleCheck is the sampled agreement check between one variant's L2
-// TLB and the page table (see step's oracle block); Resolve and
-// LookupRun are reads, so checking mid-batch cannot perturb state.
+// TLB and the page table; Resolve and LookupRun are reads, so the check
+// cannot perturb simulation state.
 func (b *benchSim) oracleCheck(s *simulator, vpn arch.VPN) error {
 	want, _, ok := b.proc.Resolve(vpn)
 	if !ok {
@@ -858,243 +808,22 @@ func (b *benchSim) oracleCheck(s *simulator, vpn arch.VPN) error {
 	return nil
 }
 
-// stepBatch executes up to max references starting at stream index
-// start, returning how many ran. It is the batched form of step and is
-// observably equivalent to calling step max times (the equivalence
-// goldens byte-compare the two): the workload decodes the whole batch
-// up front, then each variant's simulator runs the batch back to back.
-// Variant-major order is legal because the simulators share no
-// order-sensitive mutable state — the page table and residency maps are
-// read-only inside a batch, fault-plane sites draw from per-site
-// independent RNG streams, and the shared telemetry histograms are
-// commutative counters — while each variant still observes its own
-// accesses in exact stream order. The three events that do couple the
-// variants to shared state each land on a batch edge:
-//
-//   - a reference to a swapped-out page ends its batch (NextBatch
-//     stops there) and is serviced scalar-style below, so the swap-in
-//     and its shootdowns hit every variant at the same stream position
-//     as in the scalar loop;
-//   - churn bursts and cancellation checkpoints run between batches
-//     (the driver clips batches to those boundaries);
-//   - event tracing records the variant interleaving within one
-//     reference, so traced jobs fall back to the scalar loop.
-func (b *benchSim) stepBatch(start, max int) (int, error) {
-	if b.hasTracer || max == 1 {
-		if err := b.step(start); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	}
-	if max > len(b.batch) {
-		max = len(b.batch)
-	}
-	n := b.w.NextBatch(b.batch[:max])
-	base := b.refClock
-	b.refClock = base + uint64(n)
-	// Fault-plane crossings, one per decoded record. Site sequences are
-	// independent streams, so grouping the crossings cannot perturb any
-	// other site; a failure aborts the job at the same record index and
-	// crossing sequence number as the scalar loop.
-	if b.hasPlane {
-		for k := 0; k < n; k++ {
-			if err := b.plane.Fail(fault.SiteTraceCorrupt); err != nil {
-				return 0, fmt.Errorf("%s: decoding trace record %d: %w", b.spec.Name, start+k, err)
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		b.instructions += uint64(b.batch[k].Gap)
-	}
-	// NextBatch guarantees every reference but the last is resident; a
-	// non-resident final reference carries the swap-in fault and is
-	// handled after the batched prefix.
-	prefix := n
-	lastVPN := b.batch[n-1].VA.Page()
-	_, _, lastResident := b.proc.Resolve(lastVPN)
-	if !lastResident {
-		prefix = n - 1
-	}
-	b.frontEvents = b.frontEvents[:0]
-	// The sampled oracle fires where (start+k)%1024 == 0; batches are
-	// shorter than the sampling period, so precomputing the single
-	// qualifying batch index replaces a modulo per reference per variant
-	// with one compare.
-	oracleK := (1024 - start%1024) % 1024
-	// The first variant's pass and the replay passes have different
-	// per-reference bodies (record vs. replay), so they are separate
-	// loops rather than one loop with a per-reference discriminant.
-	for vi, s := range b.sims {
-		hier := s.hier
-		nextOracle := oracleK
-		// Keep the stall total in a register for the whole pass.
-		stall := s.memStall
-		// Reslice the batch and recording lanes to the prefix once, so
-		// the per-reference indexing below is provably in bounds.
-		batch, recs := b.batch[:prefix], b.frontRecs[:prefix]
-		if vi == 0 {
-			// Recording pass: advance the shared L1/L2 front in stream
-			// order and capture each reference's outcome for the replay
-			// passes.
-			for k := 0; k < prefix; k++ {
-				if b.telPerRef {
-					// Replay the per-reference clock so fills stamp the
-					// same birth times (hence lifetime histograms) as the
-					// scalar loop. A variant's TLB state depends only on
-					// its own access sequence, which is in stream order
-					// here.
-					b.refClock = base + uint64(k) + 1
-				}
-				r := &batch[k]
-				vpn := r.VA.Page()
-				res := hier.Access(vpn)
-				if res.Fault {
-					return 0, fmt.Errorf("%s/%s: fault at vpn %d", b.spec.Name, s.name, vpn)
-				}
-				rec := &recs[k]
-				paddr := res.PFN.Addr() + arch.PAddr(r.VA.Offset())
-				lat, events, demandMiss := b.front.DataAccess(paddr, r.Write)
-				rec.pfn = res.PFN
-				rec.lat = int32(lat)
-				rec.demand = demandMiss
-				rec.lo = int32(len(b.frontEvents))
-				b.frontEvents = append(b.frontEvents, events...)
-				rec.hi = int32(len(b.frontEvents))
-				// The recording variant replays its own LLC-bound
-				// requests too: the front stops at L2, and every
-				// variant's LLC is private.
-				if len(events) != 0 {
-					lat += s.replayLLC(events, demandMiss)
-				}
-				if lat > l1HitLatency {
-					stall += uint64(lat - l1HitLatency)
-				}
-				if k == nextOracle {
-					nextOracle += 1024
-					if err := b.oracleCheck(s, vpn); err != nil {
-						return 0, err
-					}
-				}
-			}
-		} else {
-			// Replay pass: check translation agreement with the recorded
-			// pass and replay its LLC-bound traffic against this
-			// variant's private LLC.
-			for k := 0; k < prefix; k++ {
-				if b.telPerRef {
-					b.refClock = base + uint64(k) + 1
-				}
-				vpn := batch[k].VA.Page()
-				res := hier.Access(vpn)
-				if res.Fault {
-					return 0, fmt.Errorf("%s/%s: fault at vpn %d", b.spec.Name, s.name, vpn)
-				}
-				rec := &recs[k]
-				if res.PFN != rec.pfn {
-					return 0, fmt.Errorf("%s/%s: translation diverges at vpn %d", b.spec.Name, s.name, vpn)
-				}
-				// Most references are satisfied inside the shared L1/L2
-				// and record no LLC-bound requests; skip the replay call
-				// (and its slice construction) outright for those.
-				lat := int(rec.lat)
-				if rec.lo != rec.hi {
-					lat += s.replayLLC(b.frontEvents[rec.lo:rec.hi], rec.demand)
-				}
-				if lat > l1HitLatency {
-					stall += uint64(lat - l1HitLatency)
-				}
-				if k == nextOracle {
-					nextOracle += 1024
-					if err := b.oracleCheck(s, vpn); err != nil {
-						return 0, err
-					}
-				}
-			}
-		}
-		s.memStall = stall
-	}
-	b.refClock = base + uint64(n)
-	if !lastResident {
-		// Service the major fault, then run the faulting reference
-		// scalar-style so every variant observes the swap-in (and any
-		// shootdowns it raised) at the same point in its stream.
-		swappedIn, err := b.proc.EnsureResident(lastVPN)
-		if err != nil {
-			return 0, err
-		}
-		if !swappedIn {
-			return 0, fmt.Errorf("%s: reference to unmapped vpn %d", b.spec.Name, lastVPN)
-		}
-		r := &b.batch[n-1]
-		var (
-			frontLat   int
-			events     []cache.LLCEvent
-			demandMiss bool
-			pfn0       arch.PFN
-		)
-		for vi, s := range b.sims {
-			res := s.hier.Access(lastVPN)
-			if res.Fault {
-				return 0, fmt.Errorf("%s/%s: fault at vpn %d", b.spec.Name, s.name, lastVPN)
-			}
-			if vi == 0 {
-				pfn0 = res.PFN
-				paddr := res.PFN.Addr() + arch.PAddr(r.VA.Offset())
-				frontLat, events, demandMiss = b.front.DataAccess(paddr, r.Write)
-			} else if res.PFN != pfn0 {
-				return 0, fmt.Errorf("%s/%s: translation diverges at vpn %d", b.spec.Name, s.name, lastVPN)
-			}
-			lat := frontLat + s.replayLLC(events, demandMiss)
-			if lat > l1HitLatency {
-				s.memStall += uint64(lat - l1HitLatency)
-			}
-		}
-		if (start+n-1)%1024 == 0 {
-			want, _, ok := b.proc.Resolve(lastVPN)
-			if !ok {
-				return 0, fmt.Errorf("%s: vpn %d vanished", b.spec.Name, lastVPN)
-			}
-			for _, s := range b.sims {
-				if got, hit := s.hier.L2().LookupRun(lastVPN); hit && got.Translate(lastVPN) != want {
-					return 0, fmt.Errorf("%s/%s: stale L2 entry for vpn %d", b.spec.Name, s.name, lastVPN)
-				}
-			}
-		}
-	}
-	return n, nil
-}
-
-// runRefs drives count references through stepBatch, clipping batches
-// so no batch crosses a cancellation checkpoint (every ctxCheckEvery
-// references, where the scalar loop also checked) or a churn boundary
-// (churn mutates VM state between references, so it must land between
-// batches exactly where the scalar loop ran it). churn may be nil.
+// runRefs steps count references, checking for cancellation every
+// ctxCheckEvery references and running churn (which may be nil when
+// churnEvery is 0) after every churnEvery-th one: churn mutates VM
+// state between references, so it must land at a fixed stream position.
 func (b *benchSim) runRefs(opts Options, count, churnEvery int, churn func(ref int) error) error {
-	for i := 0; i < count; {
+	for i := 0; i < count; i++ {
 		if i%ctxCheckEvery == 0 {
 			if err := opts.canceled(); err != nil {
 				return fmt.Errorf("%s: %w", b.spec.Name, err)
 			}
 		}
-		max := count - i
-		if toCheck := ctxCheckEvery - i%ctxCheckEvery; max > toCheck {
-			max = toCheck
-		}
-		if churnEvery > 0 {
-			// The next churn runs after reference cb; the batch may
-			// include cb but nothing beyond it.
-			cb := i - i%churnEvery + churnEvery - 1
-			if toChurn := cb + 1 - i; max > toChurn {
-				max = toChurn
-			}
-		}
-		n, err := b.stepBatch(i, max)
-		if err != nil {
+		if err := b.step(i); err != nil {
 			return err
 		}
-		i += n
-		if churnEvery > 0 && (i-1)%churnEvery == churnEvery-1 {
-			if err := churn(i - 1); err != nil {
+		if churnEvery > 0 && i%churnEvery == churnEvery-1 {
+			if err := churn(i); err != nil {
 				return err
 			}
 		}

@@ -60,21 +60,21 @@ type Table struct {
 	// walkDepth, when attached, observes the level count of every Walk
 	// (nil-safe, allocation-free — Walk is on the hot path).
 	walkDepth *telemetry.Hist
-	// Walk memo: the batched simulator walks the same VPN once per TLB
-	// variant that missed on it while the table is guaranteed unchanged
-	// (mutations happen between references), and variant-major batching
-	// separates those repeats by a whole batch — so the memo is a small
-	// direct-mapped table rather than a single entry. A walk is a pure
-	// read, so replaying a recorded result is exact; every mutator
-	// advances memoGen, which invalidates all entries at once. The
-	// table is allocated on first Walk so tables off the hot path pay
-	// nothing.
+	// Walk memo: the simulator walks the same VPN once per TLB variant
+	// that missed on it while the table is guaranteed unchanged
+	// (mutations happen between references), and variants that miss on
+	// a VPN again a few references later repeat the walk — so the memo
+	// is a small direct-mapped table rather than a single entry. A walk
+	// is a pure read, so replaying a recorded result is exact; every
+	// mutator advances memoGen, which invalidates all entries at once.
+	// The table is allocated on first Walk so tables off the hot path
+	// pay nothing.
 	memo    *walkMemo
 	memoGen uint64
 }
 
 // walkMemoSize is the direct-mapped walk memo's entry count (power of
-// two); it comfortably covers the distinct VPNs of one reference batch.
+// two): the distinct VPNs of the last few hundred walks.
 const walkMemoSize = 512
 
 type walkMemo struct {

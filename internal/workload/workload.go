@@ -231,36 +231,6 @@ func (w *Workload) Next() (arch.VAddr, bool, int) {
 	return w.addr(vpn), w.r.Bool(spec.WriteFrac), w.gap()
 }
 
-// Ref is one decoded memory reference, the unit of the batched hot
-// path: a full virtual address, the write flag, and the instruction gap
-// since the previous reference.
-type Ref struct {
-	VA    arch.VAddr
-	Write bool
-	Gap   int32
-}
-
-// NextBatch decodes up to len(dst) references into dst and returns how
-// many were produced. Each slot is exactly what a Next call would have
-// returned, so batch size can never change the stream.
-//
-// Decoding consults process residency (burst continuation only follows
-// onto mapped pages), and servicing a non-resident reference (swap-in)
-// mutates residency. So a batch stops immediately after producing a
-// reference to a non-resident page: the caller must service that fault
-// before decoding further, exactly as the scalar loop would. All
-// references before the last are guaranteed resident at return.
-func (w *Workload) NextBatch(dst []Ref) int {
-	for i := range dst {
-		va, write, gap := w.Next()
-		dst[i] = Ref{VA: va, Write: write, Gap: int32(gap)}
-		if _, _, ok := w.Proc.Resolve(va.Page()); !ok {
-			return i + 1
-		}
-	}
-	return len(dst)
-}
-
 // addr picks an 8-byte-aligned offset within the page so the cache
 // model sees realistic line behaviour.
 func (w *Workload) addr(vpn arch.VPN) arch.VAddr {

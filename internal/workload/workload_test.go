@@ -273,34 +273,3 @@ func TestCapture(t *testing.T) {
 		return true
 	})
 }
-
-// TestNextBatchMatchesNext pins the batched decoder's contract: each
-// NextBatch slot is exactly what a Next call would have returned, at
-// every batch size, so batching can never change the reference stream.
-func TestNextBatchMatchesNext(t *testing.T) {
-	spec, err := ByName("Mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec = spec.Scale(0.05)
-	for _, size := range []int{1, 3, 8, 64, 256} {
-		_, scalar := buildOne(t, spec, 1<<15, false)
-		_, batched := buildOne(t, spec, 1<<15, false)
-		dst := make([]Ref, size)
-		const total = 4096
-		for done := 0; done < total; {
-			n := batched.NextBatch(dst)
-			if n <= 0 || n > size {
-				t.Fatalf("size %d: NextBatch returned %d", size, n)
-			}
-			for i := 0; i < n; i++ {
-				va, write, gap := scalar.Next()
-				if got, want := dst[i], (Ref{VA: va, Write: write, Gap: int32(gap)}); got != want {
-					t.Fatalf("size %d: ref %d diverges: batch %+v scalar %+v",
-						size, done+i, got, want)
-				}
-			}
-			done += n
-		}
-	}
-}

@@ -1,17 +1,14 @@
 #!/bin/sh
 # Hot-path trajectory recorder (make bench-hotpath): run the
 # BenchmarkHotPath refs/sec benchmark and write BENCH_hotpath.json at
-# the repo root, so every PR records where the per-reference engine
-# stands. The scalar loop (BenchmarkHotPathScalar) runs alongside as
-# the in-tree reference point; the PR-gating speedup in the committed
-# file is measured against the pre-PR scalar loop at the parent commit
-# (see EXPERIMENTS.md for the schema and methodology).
+# the repo root, so every PR records where the per-reference loop
+# stands (see EXPERIMENTS.md for the schema and methodology).
 #
 # Usage: scripts/bench_hotpath.sh [benchtime]
 #   benchtime   go test -benchtime value (default 3s)
-#   PREPR_NS    optional env: ns/ref of the pre-PR hot loop, measured
-#               by running this PR's fixture loop in a worktree of the
-#               parent commit (interleave the two binaries and take
+#   PREPR_NS    optional env: ns/ref of the parent commit's hot loop,
+#               measured by running its BenchmarkHotPath in a copy of
+#               the parent commit (interleave the two binaries and take
 #               medians — see EXPERIMENTS.md). When set, the JSON also
 #               records the cross-PR speedup.
 set -eu
@@ -23,28 +20,18 @@ cd "$(dirname "$0")/.."
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT INT TERM
 
-echo "bench-hotpath: running BenchmarkHotPath + BenchmarkHotPathScalar (-benchtime $BENCHTIME)"
-$GO test -run '^$' -bench 'BenchmarkHotPath(Scalar)?$' -benchtime "$BENCHTIME" -benchmem . | tee "$out"
-
-# The recorded batch size is the engine's DefaultBatchSize (the
-# benchmark runs with BatchSize 0, which selects it).
-batch=$(sed -n 's/^const DefaultBatchSize = \([0-9][0-9]*\)$/\1/p' internal/experiments/runner.go)
+echo "bench-hotpath: running BenchmarkHotPath (-benchtime $BENCHTIME)"
+$GO test -run '^$' -bench 'BenchmarkHotPath$' -benchtime "$BENCHTIME" -benchmem . | tee "$out"
 
 awk -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-    -v batch="${batch:-256}" -v prepr="${PREPR_NS:-}" '
-/^BenchmarkHotPathScalar/ { scalar_ns = $3; next }
-/^BenchmarkHotPath/       { ns = $3; allocs = $7 }
+    -v prepr="${PREPR_NS:-}" '
+/^BenchmarkHotPath/ { ns = $3; allocs = $7 }
 END {
     if (ns == "") { print "bench-hotpath: no BenchmarkHotPath result" > "/dev/stderr"; exit 1 }
     printf "{\n"
     printf "  \"refs_per_sec\": %.0f,\n", 1e9 / ns
     printf "  \"ns_per_ref\": %.1f,\n", ns
     printf "  \"allocs_per_ref\": %s,\n", allocs
-    printf "  \"batch_size\": %d,\n", batch
-    if (scalar_ns != "") {
-        printf "  \"scalar_ns_per_ref\": %.1f,\n", scalar_ns
-        printf "  \"speedup_vs_scalar\": %.2f,\n", scalar_ns / ns
-    }
     if (prepr != "") {
         printf "  \"prepr_ns_per_ref\": %.1f,\n", prepr
         printf "  \"speedup_vs_prepr\": %.2f,\n", prepr / ns
