@@ -106,8 +106,9 @@ serve-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-# Statement-coverage gate for the observability stack: each package
-# listed in .coverage-floor must meet its checked-in minimum.
+# Statement-coverage gate: each package listed in .coverage-floor (the
+# observability stack and the OS memory model) must meet its
+# checked-in minimum.
 cover:
 	@set -e; \
 	while read -r pkg floor; do \

@@ -463,9 +463,14 @@ func scaledSpec(spec workload.Spec, opts Options) workload.Spec {
 	return spec
 }
 
-// settlePasses lets kcompactd catch up after the churn phase (idle time
-// on a real machine between the fragmenting load and the benchmark).
-// Each pass is budget-bounded; CompactionLow systems skip settling.
+// settlePasses caps the compaction passes that let kcompactd catch up
+// after the churn phase (idle time on a real machine between the
+// fragmenting load and the benchmark); CompactionLow systems skip
+// settling. Each pass is budget-bounded and costs about one sweep of
+// memory (see mm's compact). Settling stops early at a fixpoint: a pass
+// that leaves Migrated and MigrateFails unchanged never tried to migrate
+// a page, so it changed no frame and drew nothing from the fault plane,
+// and every later pass would repeat it exactly.
 const settlePasses = 20
 
 // steadyStateSlots of background activity run between building a
@@ -503,7 +508,12 @@ func buildSystem(setup SystemSetup, opts Options, benchName string, tracer *tele
 	}
 	if setup.Compaction == mm.CompactionNormal {
 		for i := 0; i < settlePasses; i++ {
+			before := sys.Compactor.Stats()
 			sys.Compactor.Compact(-1)
+			after := sys.Compactor.Stats()
+			if after.Migrated == before.Migrated && after.MigrateFails == before.MigrateFails {
+				break
+			}
 		}
 	}
 	if _, err := vm.StartMemhog(sys, setup.MemhogPct, master.Stream("memhog")); err != nil {

@@ -9,7 +9,9 @@ import (
 // compaction daemon moves a frame, the owning process's page table must
 // be rehomed to the new frame (and any TLB entries shot down). A
 // non-nil error means the rehoming did not happen; the compactor rolls
-// the migration back and leaves the source frame in place.
+// the migration back and leaves the source frame in place. MigratePage
+// must not allocate or free physical frames: a pass relies on the free
+// frames above its migrate scanner changing only by its own claims.
 type Migrator interface {
 	MigratePage(owner PageOwner, from, to arch.PFN) error
 }
@@ -68,7 +70,7 @@ const (
 type CompactStats struct {
 	Runs       uint64
 	Migrated   uint64
-	Aborted    uint64 // runs that ended with scanners meeting
+	Aborted    uint64 // runs that ended with scanners meeting (not on the target or budget exits)
 	Background uint64
 	Direct     uint64
 	Skipped    uint64 // direct triggers suppressed by CompactionLow
@@ -206,11 +208,23 @@ func (c *Compactor) Compact(targetOrder int) int {
 // maxMigrateRun caps how many pages migrate as one contiguous unit.
 const maxMigrateRun = 64
 
+// compact is one pass of the two scanners. The free-run searches cost
+// O(frames · maxMigrateRun) per pass at worst and about one sweep of
+// memory in practice: a successful search resumes below the run it
+// found, and a failed one is never repeated. Within a pass the window
+// (migScan, freeScan] only shrinks, and its free frames only get
+// claimed (a rolled-back migration frees exactly the target it claimed;
+// vacated sources lie below migScan, and the Migrator allocates
+// nothing). So once the search for a run of length k fails, every later
+// search for k or more pages fails too, and runs at least failedLen
+// long go straight to the single-page fallback. Each distinct failure
+// lowers failedLen, which bounds the failed searches by maxMigrateRun.
 func (c *Compactor) compact(targetOrder, budget int) int {
 	c.stats.Runs++
 	migScan := arch.PFN(0)
 	freeScan := arch.PFN(c.phys.NumFrames() - 1)
 	moved := 0
+	failedLen := maxMigrateRun + 1 // shortest run length whose search failed
 	for migScan < freeScan && moved < budget {
 		if targetOrder >= 0 && moved%exitCheckInterval == 0 && c.orderSatisfied(targetOrder) {
 			return moved
@@ -232,7 +246,13 @@ func (c *Compactor) compact(targetOrder, budget int) int {
 			}
 			k++
 		}
-		target, hint, ok := c.findFreeRun(migScan+arch.PFN(k), freeScan, k)
+		var target, hint arch.PFN
+		ok := false
+		if k < failedLen {
+			if target, hint, ok = c.findFreeRun(migScan+arch.PFN(k), freeScan, k); !ok {
+				failedLen = k
+			}
+		}
 		if !ok && k > 1 {
 			k = 1
 			target, hint, ok = c.findFreeRun(migScan+1, freeScan, 1)
@@ -262,7 +282,11 @@ func (c *Compactor) compact(targetOrder, budget int) int {
 		}
 		migScan += arch.PFN(k)
 	}
-	c.stats.Aborted++
+	if moved < budget {
+		// The scanners met: no free target is left above the migrate
+		// scanner. A pass that spent its budget is not aborted.
+		c.stats.Aborted++
+	}
 	return moved
 }
 
@@ -312,11 +336,7 @@ func (c *Compactor) findFreeRun(lo, hi arch.PFN, k int) (base, hint arch.PFN, ok
 			run = 0
 		}
 		if run == k {
-			hint = p - 1
-			if p == 0 {
-				hint = 0
-			}
-			return p, hint, true
+			return p, p - 1, true
 		}
 	}
 	return 0, lo, false

@@ -217,6 +217,55 @@ func TestCompactMigrationBudget(t *testing.T) {
 	}
 }
 
+// TestCompactBudgetExitIsNotAborted: Aborted counts passes that ran
+// until the scanners met, never passes that stopped because they spent
+// their migration budget, direct or background.
+func TestCompactBudgetExitIsNotAborted(t *testing.T) {
+	const n = 1 << 15
+	pm := NewPhysMem(n)
+	b := NewBuddy(pm)
+	c := NewCompactor(pm, b, nil, CompactionNormal)
+	// A free/movable checkerboard with one pinned frame per 256: the
+	// scanners meet only after several budgets' worth of migrations,
+	// and no free block of order 8 or more can ever form, so no target
+	// order ends a pass early.
+	if _, err := b.AllocRange(n); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		switch pfn := arch.PFN(i); {
+		case i%256 == 255:
+			pm.SetOwner(pfn, PageOwner{PID: KernelPID}, false)
+		case i%2 == 0:
+			b.FreeRange(pfn, 1)
+		default:
+			pm.SetOwner(pfn, PageOwner{PID: 1, VPN: arch.VPN(i)}, true)
+		}
+	}
+	if !c.OnAllocFailure(HugeOrder) {
+		t.Fatal("direct compaction did not run")
+	}
+	if st := c.Stats(); st.Migrated != maxDirectMigrate || st.Aborted != 0 {
+		t.Fatalf("direct pass: Migrated %d, Aborted %d; want its %d budget spent and 0", st.Migrated, st.Aborted, maxDirectMigrate)
+	}
+	if moved := c.Compact(-1); moved != maxMigratePerRun {
+		t.Fatalf("background pass moved %d, want its %d budget", moved, maxMigratePerRun)
+	}
+	if st := c.Stats(); st.Runs != 2 || st.Aborted != 0 {
+		t.Fatalf("after two budget exits: Runs %d, Aborted %d; want 2 and 0", st.Runs, st.Aborted)
+	}
+	// Every migration moves a page up, so the passes end; only the last,
+	// where the scanners meet short of the budget, is aborted.
+	for c.Compact(-1) == maxMigratePerRun {
+	}
+	if st := c.Stats(); st.Aborted != 1 {
+		t.Fatalf("Aborted = %d after %d passes, want 1", st.Aborted, st.Runs)
+	}
+	if issues := b.Audit(); len(issues) > 0 {
+		t.Fatalf("allocator inconsistent: %v", issues)
+	}
+}
+
 func TestDirectCompactionDeferral(t *testing.T) {
 	pm := NewPhysMem(1 << 12)
 	b := NewBuddy(pm)

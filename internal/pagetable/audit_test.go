@@ -33,8 +33,8 @@ func auditWorld(t *testing.T) *Table {
 // leafFor walks to the leaf node holding vpn's PTE.
 func leafFor(t *testing.T, tbl *Table, vpn arch.VPN) *node {
 	t.Helper()
-	nodes := tbl.path(vpn)
-	if len(nodes) != Levels {
+	var nodes [Levels]*node
+	if tbl.path(vpn, &nodes) != Levels {
 		t.Fatalf("vpn %d not mapped to leaf depth", vpn)
 	}
 	return nodes[Levels-1]
@@ -75,8 +75,8 @@ func TestAuditCatchesHugeFlagMisuse(t *testing.T) {
 func TestAuditCatchesMisalignedHugePTE(t *testing.T) {
 	tbl := auditWorld(t)
 	vpn := arch.VPN(2 * arch.PagesPerHuge)
-	nodes := tbl.path(vpn)
-	if len(nodes) != HugeLevel+1 {
+	var nodes [Levels]*node
+	if tbl.path(vpn, &nodes) != HugeLevel+1 {
 		t.Fatalf("huge vpn %d not mapped at PMD depth", vpn)
 	}
 	nodes[HugeLevel].ptes[levelIndex(vpn, HugeLevel)].PFN++

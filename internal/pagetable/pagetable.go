@@ -243,9 +243,10 @@ func (t *Table) Reserve(vpn arch.VPN) error {
 
 // leafNode descends toward vpn's leaf without recording the path (and
 // therefore without allocating — Lookup/Resolve/Line run once per
-// simulated memory reference). It returns the deepest node reached and
-// its level: LeafLevel for a full descent, HugeLevel when a huge PTE or
-// a PMD hole stops the walk, less on an upper hole.
+// simulated memory reference, Remap once per migrated page). It returns
+// the deepest node reached and its level: LeafLevel for a full descent,
+// HugeLevel when a huge PTE or a PMD hole stops the walk, less on an
+// upper hole.
 func (t *Table) leafNode(vpn arch.VPN) (*node, int) {
 	n := t.root
 	for level := 0; level < LeafLevel; level++ {
@@ -261,24 +262,25 @@ func (t *Table) leafNode(vpn arch.VPN) (*node, int) {
 	return n, LeafLevel
 }
 
-// path returns the nodes visited from root toward vpn's leaf, stopping
-// early at a hole or a huge mapping. Mutation paths (Unmap, SplitHuge,
-// prune) use it; translation paths use the allocation-free leafNode.
-func (t *Table) path(vpn arch.VPN) []*node {
-	nodes := make([]*node, 0, Levels)
+// path records in nodes the nodes visited from root toward vpn's leaf,
+// stopping early at a hole or a huge mapping, and returns how many it
+// recorded. Unmap and UnmapHuge use it because pruning needs every node
+// on the way; the caller owns the array, so neither allocates.
+func (t *Table) path(vpn arch.VPN, nodes *[Levels]*node) int {
 	n := t.root
 	for level := 0; level < LeafLevel; level++ {
-		nodes = append(nodes, n)
+		nodes[level] = n
 		idx := levelIndex(vpn, level)
 		if level == HugeLevel && n.ptes[idx].Present() {
-			return nodes
+			return level + 1
 		}
 		if n.children[idx] == nil {
-			return nodes
+			return level + 1
 		}
 		n = n.children[idx]
 	}
-	return append(nodes, n)
+	nodes[LeafLevel] = n
+	return Levels
 }
 
 // Lookup returns the leaf PTE mapping vpn: a base PTE, or the covering
@@ -422,8 +424,8 @@ func lineFromLeaf(leaf *node, vpn arch.VPN, group *[arch.PTEsPerLine]arch.Transl
 // Unmap removes the 4 KB mapping for vpn, pruning emptied tables.
 func (t *Table) Unmap(vpn arch.VPN) error {
 	t.dirty()
-	nodes := t.path(vpn)
-	if len(nodes) != Levels {
+	var nodes [Levels]*node
+	if t.path(vpn, &nodes) != Levels {
 		return ErrNotMapped
 	}
 	leaf := nodes[Levels-1]
@@ -434,18 +436,18 @@ func (t *Table) Unmap(vpn arch.VPN) error {
 	leaf.ptes[idx] = arch.PTE{}
 	leaf.live--
 	t.mappedBase--
-	t.prune(nodes, vpn)
+	t.prune(nodes[:], vpn)
 	return nil
 }
 
 // UnmapHuge removes the 2 MB mapping at baseVPN.
 func (t *Table) UnmapHuge(baseVPN arch.VPN) error {
 	t.dirty()
-	nodes := t.path(baseVPN)
-	last := nodes[len(nodes)-1]
-	if len(nodes) != HugeLevel+1 {
+	var nodes [Levels]*node
+	if t.path(baseVPN, &nodes) != HugeLevel+1 {
 		return ErrNotMapped
 	}
+	last := nodes[HugeLevel]
 	idx := levelIndex(baseVPN, HugeLevel)
 	if pte := last.ptes[idx]; !pte.Present() || !pte.Huge {
 		return ErrNotMapped
@@ -453,7 +455,7 @@ func (t *Table) UnmapHuge(baseVPN arch.VPN) error {
 	last.ptes[idx] = arch.PTE{}
 	last.live--
 	t.mappedHuge--
-	t.prune(nodes, baseVPN)
+	t.prune(nodes[:HugeLevel+1], baseVPN)
 	return nil
 }
 
@@ -477,13 +479,9 @@ func (t *Table) prune(nodes []*node, vpn arch.VPN) {
 // caller is responsible for the corresponding TLB shootdown.
 func (t *Table) Remap(vpn arch.VPN, newPFN arch.PFN) error {
 	t.dirty()
-	nodes := t.path(vpn)
-	if len(nodes) != Levels {
-		return ErrNotMapped
-	}
-	leaf := nodes[Levels-1]
+	leaf, level := t.leafNode(vpn)
 	idx := levelIndex(vpn, LeafLevel)
-	if !leaf.ptes[idx].Present() {
+	if level != LeafLevel || !leaf.ptes[idx].Present() {
 		return ErrNotMapped
 	}
 	leaf.ptes[idx].PFN = newPFN
@@ -495,11 +493,10 @@ func (t *Table) Remap(vpn arch.VPN, newPFN arch.PFN) error {
 // THP's pressure daemon performs.
 func (t *Table) SplitHuge(baseVPN arch.VPN) error {
 	t.dirty()
-	nodes := t.path(baseVPN)
-	if len(nodes) != HugeLevel+1 {
+	pmd, level := t.leafNode(baseVPN)
+	if level != HugeLevel {
 		return ErrNotMapped
 	}
-	pmd := nodes[HugeLevel]
 	idx := levelIndex(baseVPN, HugeLevel)
 	pte := pmd.ptes[idx]
 	if !pte.Present() || !pte.Huge {

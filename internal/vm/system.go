@@ -131,7 +131,6 @@ func (s *System) MigratePage(owner mm.PageOwner, from, to arch.PFN) error {
 		return fmt.Errorf("vm: migration remap pid %d vpn %d: %w", owner.PID, owner.VPN, err)
 	}
 	s.shootdown(owner.PID, owner.VPN)
-	_ = from
 	return nil
 }
 
