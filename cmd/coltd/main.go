@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"colt/internal/cluster"
+	"colt/internal/fault"
 	"colt/internal/server"
 	"colt/internal/server/faultfs"
 )
@@ -44,7 +45,6 @@ func main() {
 		debugAddr    = flag.String("debug-addr", "", "optional second listener serving /debug/pprof/ and /metrics (empty = off; /metrics is always on the main address)")
 		nodeID       = flag.String("node-id", "", "stable cluster identity for this node (required with -peers; single-node without them)")
 		peers        = flag.String("peers", "", "comma-separated id=url cluster peers, e.g. 'n2=http://10.0.0.2:8077,n3=http://10.0.0.3:8077' (empty = unclustered)")
-		stealThr     = flag.Int("steal-threshold", 0, "queue depth at which idle peers may steal this node's queued jobs (0 disables stealing)")
 		heartbeat    = flag.Duration("heartbeat-interval", 500*time.Millisecond, "cluster gossip period")
 	)
 	flag.Parse()
@@ -54,7 +54,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	clusterCfg, err := clusterConfig(*nodeID, *peers, *stealThr, *heartbeat)
+	clusterCfg, err := clusterConfig(*nodeID, *peers, *heartbeat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coltd:", err)
 		flag.Usage()
@@ -66,7 +66,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	faultSpec, err := faultfs.ParseSpec(*diskFaults)
+	faultSpec, err := fault.Parse(*diskFaults, faultfs.Ops())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coltd: -disk-faults:", err)
 		flag.Usage()
@@ -141,11 +141,11 @@ func validate(queueDepth, workers, parallel, retain int, drainTimeout time.Durat
 }
 
 // clusterConfig builds the cluster layer's config from the -node-id,
-// -peers, -steal-threshold, and -heartbeat-interval flags, or nil
-// when the daemon runs unclustered. A bare -node-id (no peers) is a
-// single-node cluster: job IDs gain the node prefix, so the node can
-// later be joined by peers without an ID-format change.
-func clusterConfig(nodeID, peers string, stealThreshold int, heartbeat time.Duration) (*cluster.Config, error) {
+// -peers, and -heartbeat-interval flags, or nil when the daemon runs
+// unclustered. A bare -node-id (no peers) is a single-node cluster:
+// job IDs gain the node prefix, so the node can later be joined by
+// peers without an ID-format change.
+func clusterConfig(nodeID, peers string, heartbeat time.Duration) (*cluster.Config, error) {
 	if nodeID == "" && peers == "" {
 		return nil, nil
 	}
@@ -158,9 +158,6 @@ func clusterConfig(nodeID, peers string, stealThreshold int, heartbeat time.Dura
 	if strings.ContainsAny(nodeID, ".=, \t") {
 		return nil, fmt.Errorf("-node-id %q must not contain '.', '=', ',' or whitespace", nodeID)
 	}
-	if stealThreshold < 0 {
-		return nil, fmt.Errorf("-steal-threshold must be >= 0, got %d", stealThreshold)
-	}
 	if heartbeat <= 0 {
 		return nil, fmt.Errorf("-heartbeat-interval must be positive, got %v", heartbeat)
 	}
@@ -171,7 +168,6 @@ func clusterConfig(nodeID, peers string, stealThreshold int, heartbeat time.Dura
 	return &cluster.Config{
 		NodeID:            nodeID,
 		Peers:             peerMap,
-		StealThreshold:    stealThreshold,
 		HeartbeatInterval: heartbeat,
 	}, nil
 }

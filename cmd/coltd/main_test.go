@@ -67,19 +67,19 @@ func TestBuildLogger(t *testing.T) {
 
 func TestClusterConfig(t *testing.T) {
 	hb := 500 * time.Millisecond
-	if cfg, err := clusterConfig("", "", 0, hb); err != nil || cfg != nil {
+	if cfg, err := clusterConfig("", "", hb); err != nil || cfg != nil {
 		t.Fatalf("unclustered = (%v, %v), want (nil, nil)", cfg, err)
 	}
 	// A bare -node-id is a legal single-node cluster.
-	cfg, err := clusterConfig("n1", "", 0, hb)
+	cfg, err := clusterConfig("n1", "", hb)
 	if err != nil || cfg == nil || cfg.NodeID != "n1" || len(cfg.Peers) != 0 {
 		t.Fatalf("bare node-id = (%+v, %v), want single-node config", cfg, err)
 	}
-	cfg, err = clusterConfig("n1", "n2=http://10.0.0.2:8077,n3=http://10.0.0.3:8077", 4, hb)
+	cfg, err = clusterConfig("n1", "n2=http://10.0.0.2:8077,n3=http://10.0.0.3:8077", hb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.StealThreshold != 4 || cfg.HeartbeatInterval != hb {
+	if cfg.HeartbeatInterval != hb {
 		t.Fatalf("config = %+v", cfg)
 	}
 	if cfg.Peers["n2"] != "http://10.0.0.2:8077" || cfg.Peers["n3"] != "http://10.0.0.3:8077" {
@@ -88,28 +88,26 @@ func TestClusterConfig(t *testing.T) {
 
 	bad := []struct {
 		nodeID, peers string
-		steal         int
 		hb            time.Duration
 		wantFlag      string
 	}{
-		{"", "n2=http://x:1", 0, hb, "-node-id"},
-		{"n.1", "", 0, hb, "-node-id"},
-		{"n 1", "", 0, hb, "-node-id"},
-		{"n1", "", -1, hb, "-steal-threshold"},
-		{"n1", "", 0, 0, "-heartbeat-interval"},
-		{"n1", "garbage", 0, hb, "-peers"},
-		{"n1", "n2=", 0, hb, "-peers"},
-		{"n1", "=http://x:1", 0, hb, "-peers"},
-		{"n1", "n1=http://x:1", 0, hb, "-peers"},
-		{"n1", "n2=ftp://x:1", 0, hb, "-peers"},
-		{"n1", "n2=http://x:1,n2=http://y:1", 0, hb, "-peers"},
-		{"n1", "n.2=http://x:1", 0, hb, "-peers"},
-		{"n1", " , ", 0, hb, "-peers"},
+		{"", "n2=http://x:1", hb, "-node-id"},
+		{"n.1", "", hb, "-node-id"},
+		{"n 1", "", hb, "-node-id"},
+		{"n1", "", 0, "-heartbeat-interval"},
+		{"n1", "garbage", hb, "-peers"},
+		{"n1", "n2=", hb, "-peers"},
+		{"n1", "=http://x:1", hb, "-peers"},
+		{"n1", "n1=http://x:1", hb, "-peers"},
+		{"n1", "n2=ftp://x:1", hb, "-peers"},
+		{"n1", "n2=http://x:1,n2=http://y:1", hb, "-peers"},
+		{"n1", "n.2=http://x:1", hb, "-peers"},
+		{"n1", " , ", hb, "-peers"},
 	}
 	for _, tc := range bad {
-		_, err := clusterConfig(tc.nodeID, tc.peers, tc.steal, tc.hb)
+		_, err := clusterConfig(tc.nodeID, tc.peers, tc.hb)
 		if err == nil {
-			t.Fatalf("clusterConfig(%q, %q, %d, %v) succeeded", tc.nodeID, tc.peers, tc.steal, tc.hb)
+			t.Fatalf("clusterConfig(%q, %q, %v) succeeded", tc.nodeID, tc.peers, tc.hb)
 		}
 		if !strings.Contains(err.Error(), tc.wantFlag) {
 			t.Fatalf("error %q does not mention %s", err, tc.wantFlag)

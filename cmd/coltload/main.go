@@ -196,7 +196,7 @@ type slowEntry struct {
 // nodeSummary is one fleet member's slice of a multi-node run: the
 // generator-side goodput/latency it served, plus the cluster counters
 // scraped from its own /metrics — how much of its traffic arrived as
-// ownership proxies, peer cache fills, and steals.
+// ownership proxies and peer cache fills.
 type nodeSummary struct {
 	Addr            string  `json:"addr"`
 	GoodputRPS      float64 `json:"goodput_rps"`
@@ -210,8 +210,6 @@ type nodeSummary struct {
 	PeerFillOK      float64 `json:"peer_fill_ok"`
 	PeerFillMiss    float64 `json:"peer_fill_miss,omitempty"`
 	PeerFillCorrupt float64 `json:"peer_fill_corrupt,omitempty"`
-	StealsIn        float64 `json:"steals_in"`
-	StealsOut       float64 `json:"steals_out"`
 }
 
 // summary is the BENCH_serve.json schema (EXPERIMENTS.md).
@@ -381,8 +379,6 @@ func run(cfg config) error {
 			ns.PeerFillOK = cc[`coltd_cluster_peer_fill_total{outcome="ok"}`]
 			ns.PeerFillMiss = cc[`coltd_cluster_peer_fill_total{outcome="miss"}`]
 			ns.PeerFillCorrupt = cc[`coltd_cluster_peer_fill_total{outcome="corrupt"}`]
-			ns.StealsIn = cc[`coltd_cluster_steals_total{direction="in"}`]
-			ns.StealsOut = cc[`coltd_cluster_steals_total{direction="out"}`]
 		}
 		sum.Nodes = append(sum.Nodes, ns)
 	}
@@ -467,7 +463,7 @@ func scrapeMetrics(base string) (series int, err error) {
 
 // scrapeClusterCounters fetches one node's /metrics and returns its
 // coltd_cluster_* samples keyed by full series name (labels
-// included), e.g. `coltd_cluster_steals_total{direction="in"}`.
+// included), e.g. `coltd_cluster_peer_fill_total{outcome="ok"}`.
 func scrapeClusterCounters(base string) (map[string]float64, error) {
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {

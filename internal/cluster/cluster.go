@@ -10,7 +10,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,8 +20,6 @@ import (
 // the constants here is what keeps the two sides from drifting.
 const (
 	HeartbeatPath = "/v1/cluster/heartbeat"
-	StealPath     = "/v1/cluster/steal"
-	CommitPath    = "/v1/cluster/commit"
 	ReportPath    = "/v1/cluster/report/" // + spec hash
 )
 
@@ -31,15 +28,16 @@ const (
 // ever serving the bytes.
 const ReportShaHeader = "X-Report-Sha256"
 
-// maxPeerReport caps how many bytes a peer fill will read. Reports
-// in this repo are a few hundred KB at worst; 16 MB is a generous
+// MaxBody caps every cross-node body a node reads: peer fills here,
+// proxied submissions and proxied reports in the server. Reports in
+// this repo are a few hundred KB at worst; 16 MB is a generous
 // ceiling that still stops a confused peer from streaming forever.
-const maxPeerReport = 16 << 20
+const MaxBody = 16 << 20
 
 // Heartbeat is the gossip payload: each beat carries the sender's
 // identity, ring epoch, queue depth, and drain state, and the
-// response carries the receiver's. Queue depth is what the steal
-// loop keys on; epoch is how operators spot ring disagreement.
+// response carries the receiver's. Queue depth is shown per peer on
+// readyz; epoch is how operators spot ring disagreement.
 type Heartbeat struct {
 	From     string `json:"from"`
 	Epoch    uint64 `json:"epoch"`
@@ -47,53 +45,14 @@ type Heartbeat struct {
 	Draining bool   `json:"draining"`
 }
 
-// StolenJob is one queued job handed from a loaded victim to an idle
-// stealer: the victim-side job ID (so the commit lands back on the
-// right record), the canonical spec hash, the originating trace, and
-// the canonical spec itself as raw JSON. The stealer re-canonicalizes
-// and refuses the job if its own hash disagrees.
-type StolenJob struct {
-	ID      string          `json:"id"`
-	Hash    string          `json:"hash"`
-	TraceID string          `json:"trace_id,omitempty"`
-	Spec    json.RawMessage `json:"spec"`
-}
-
-// StealRequest asks a victim for up to Max queued jobs.
-type StealRequest struct {
-	From string `json:"from"`
-	Max  int    `json:"max"`
-}
-
-// StealResponse is the victim's handout (possibly empty).
-type StealResponse struct {
-	Jobs []StolenJob `json:"jobs"`
-}
-
-// CommitRequest writes a stolen job's result back to the victim.
-// Report is the full report bytes (base64 over the wire via
-// encoding/json), Sha their SHA-256 hex; the victim recomputes and
-// refuses a mismatch so a corrupt stealer can never poison the
-// owner's cache.
-type CommitRequest struct {
-	ID     string `json:"id"`
-	Hash   string `json:"hash"`
-	RanBy  string `json:"ran_by"`
-	Sha    string `json:"sha"`
-	Report []byte `json:"report"`
-}
-
 // Host is what the cluster needs from the serving stack. The server
 // implements it; keeping it this small is what keeps the dependency
-// one-way and the loops testable against a stub.
+// one-way and the heartbeat loop testable against a stub.
 type Host interface {
 	// QueueLen is the current depth of the local run queue.
 	QueueLen() int
 	// Draining reports whether the local node is shutting down.
 	Draining() bool
-	// RunStolen executes a stolen job locally and returns the report
-	// bytes exactly as the victim should commit them.
-	RunStolen(ctx context.Context, job StolenJob) ([]byte, error)
 }
 
 // Config parameterizes one node's cluster layer.
@@ -101,7 +60,7 @@ type Config struct {
 	// NodeID is this node's stable identity in the ring. Required.
 	NodeID string
 	// Peers maps node ID → base URL for every other member (a self
-	// entry is ignored). Empty means single-node: loops don't start.
+	// entry is ignored). Empty means single-node: no loop starts.
 	Peers map[string]string
 	// VNodes is virtual nodes per member; <=0 selects DefaultVNodes.
 	VNodes int
@@ -111,23 +70,10 @@ type Config struct {
 	// before a peer turns suspect / dead. <=0 select 2 and 4.
 	SuspectAfter int
 	DeadAfter    int
-	// StealThreshold is the victim queue depth at which an idle peer
-	// may pull work; <=0 disables stealing.
-	StealThreshold int
-	// StealMax caps jobs per steal round. <=0 selects 2.
-	StealMax int
-	// StealInterval is how often an idle node looks for a victim.
-	// <=0 selects the heartbeat interval.
-	StealInterval time.Duration
-	// StealLease bounds how long a victim waits for a stolen job's
-	// commit before reclaiming and requeueing it locally. Enforced by
-	// the victim's lease reaper, not by this package. <=0 selects 30s.
-	StealLease time.Duration
-	// HTTPTimeout bounds every peer call except RunStolen. <=0
-	// selects 5s.
+	// HTTPTimeout bounds every peer call. <=0 selects 5s.
 	HTTPTimeout time.Duration
-	// Logger receives membership transitions and steal activity.
-	// nil discards.
+	// Logger receives membership transitions and ring rebuilds. nil
+	// discards.
 	Logger *slog.Logger
 }
 
@@ -143,15 +89,6 @@ func (c *Config) fill() {
 	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 4
-	}
-	if c.StealMax <= 0 {
-		c.StealMax = 2
-	}
-	if c.StealInterval <= 0 {
-		c.StealInterval = c.HeartbeatInterval
-	}
-	if c.StealLease <= 0 {
-		c.StealLease = 30 * time.Second
 	}
 	if c.HTTPTimeout <= 0 {
 		c.HTTPTimeout = 5 * time.Second
@@ -171,16 +108,13 @@ type Counters struct {
 	PeerFillOK      atomic.Uint64
 	PeerFillMiss    atomic.Uint64
 	PeerFillCorrupt atomic.Uint64
-	StealsIn        atomic.Uint64 // jobs this node stole and committed
-	StealsOut       atomic.Uint64 // jobs this node handed to stealers
-	StealErrors     atomic.Uint64
 	HeartbeatOK     atomic.Uint64
 	HeartbeatFail   atomic.Uint64
 	RingRebuilds    atomic.Uint64
 }
 
 // Cluster is one node's view of the fleet: the membership tracker,
-// the current ring, and the background loops.
+// the current ring, and the heartbeat loop.
 type Cluster struct {
 	cfg    Config
 	host   Host
@@ -204,7 +138,7 @@ type Cluster struct {
 
 // New builds the cluster layer. The ring initially contains self
 // plus every configured peer (all presumed alive; absent peers walk
-// to dead within DeadAfter beats). Call Start to launch the loops.
+// to dead within DeadAfter beats). Call Start to begin heartbeating.
 func New(cfg Config, host Host) (*Cluster, error) {
 	if cfg.NodeID == "" {
 		return nil, fmt.Errorf("cluster: NodeID is required")
@@ -264,21 +198,17 @@ func (c *Cluster) HTTPClient() *http.Client { return c.client }
 // Counts tallies peers by state.
 func (c *Cluster) Counts() (alive, suspect, dead int) { return c.mem.Counts() }
 
-// Start launches the heartbeat and steal loops. A cluster with no
-// peers is a no-op (single-node mode).
+// Start launches the heartbeat loop. A cluster with no peers is a
+// no-op (single-node mode).
 func (c *Cluster) Start() {
 	if len(c.mem.Snapshot()) == 0 {
 		return
 	}
 	c.wg.Add(1)
 	go c.heartbeatLoop()
-	if c.cfg.StealThreshold > 0 {
-		c.wg.Add(1)
-		go c.stealLoop()
-	}
 }
 
-// Stop halts the loops and waits for them. Idempotent.
+// Stop halts the heartbeat loop and waits for it. Idempotent.
 func (c *Cluster) Stop() {
 	c.stopped.Do(func() {
 		c.stop()
@@ -375,110 +305,6 @@ func (c *Cluster) beat(baseURL string) (Heartbeat, error) {
 	return hb, nil
 }
 
-// stealLoop looks for an overloaded victim whenever this node is
-// idle, pulls up to StealMax jobs, runs each locally, and commits
-// the result back through the victim's cache-commit path.
-func (c *Cluster) stealLoop() {
-	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.StealInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-t.C:
-		}
-		if c.host.Draining() || c.host.QueueLen() > 0 {
-			continue // only truly idle nodes steal
-		}
-		victim, ok := c.pickVictim()
-		if !ok {
-			continue
-		}
-		c.stealFrom(victim)
-	}
-}
-
-// pickVictim returns the alive peer with the deepest gossiped queue
-// at or past the threshold.
-func (c *Cluster) pickVictim() (Peer, bool) {
-	peers := c.mem.Snapshot()
-	sort.Slice(peers, func(i, j int) bool { return peers[i].QueueLen > peers[j].QueueLen })
-	for _, p := range peers {
-		if p.State == PeerAlive && !p.Draining && p.QueueLen >= c.cfg.StealThreshold {
-			return p, true
-		}
-	}
-	return Peer{}, false
-}
-
-// stealFrom pulls jobs from one victim and runs them. Each job is
-// executed and committed before the next so a slow report never
-// holds a batch of leases.
-func (c *Cluster) stealFrom(victim Peer) {
-	body, _ := json.Marshal(StealRequest{From: c.cfg.NodeID, Max: c.cfg.StealMax})
-	req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, victim.URL+StealPath, bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.Counters.StealErrors.Add(1)
-		return
-	}
-	var sr StealResponse
-	err = json.NewDecoder(io.LimitReader(resp.Body, maxPeerReport)).Decode(&sr)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		c.Counters.StealErrors.Add(1)
-		return
-	}
-	for _, job := range sr.Jobs {
-		report, err := c.host.RunStolen(c.ctx, job)
-		if err != nil {
-			c.Counters.StealErrors.Add(1)
-			c.log.Warn("cluster: stolen job failed locally", "victim", victim.ID, "job", job.ID, "err", err)
-			continue // victim's lease reaper will requeue it
-		}
-		if err := c.commitStolen(victim.URL, job, report); err != nil {
-			c.Counters.StealErrors.Add(1)
-			c.log.Warn("cluster: stolen commit failed", "victim", victim.ID, "job", job.ID, "err", err)
-			continue
-		}
-		c.Counters.StealsIn.Add(1)
-		c.log.Info("cluster: stole job", "victim", victim.ID, "job", job.ID, "hash", job.Hash)
-	}
-}
-
-// commitStolen posts a finished stolen job's report back to the
-// victim, with its SHA-256 so the victim can refuse corruption.
-func (c *Cluster) commitStolen(victimURL string, job StolenJob, report []byte) error {
-	sum := sha256.Sum256(report)
-	body, _ := json.Marshal(CommitRequest{
-		ID:     job.ID,
-		Hash:   job.Hash,
-		RanBy:  c.cfg.NodeID,
-		Sha:    hex.EncodeToString(sum[:]),
-		Report: report,
-	})
-	req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, victimURL+CommitPath, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		return fmt.Errorf("commit: %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	return nil
-}
-
 // FetchReport tries to fill hash from peers, in ring-ownership
 // order, skipping self and dead peers. Every response is re-hashed
 // and compared to the peer's claimed SHA-256 before being returned;
@@ -519,7 +345,7 @@ func (c *Cluster) fetchFrom(ctx context.Context, baseURL, hash string) ([]byte, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, "", fmt.Errorf("peer fill: %s", resp.Status)
 	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerReport))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, MaxBody))
 	if err != nil {
 		return nil, "", err
 	}

@@ -12,19 +12,14 @@ import (
 	"time"
 )
 
-// stubHost is a minimal Host: a settable queue depth and a canned
-// stolen-job runner.
+// stubHost is a minimal Host: a settable queue depth and drain flag.
 type stubHost struct {
 	queue    atomic.Int64
 	draining atomic.Bool
-	run      func(ctx context.Context, job StolenJob) ([]byte, error)
 }
 
 func (h *stubHost) QueueLen() int  { return int(h.queue.Load()) }
 func (h *stubHost) Draining() bool { return h.draining.Load() }
-func (h *stubHost) RunStolen(ctx context.Context, job StolenJob) ([]byte, error) {
-	return h.run(ctx, job)
-}
 
 // heartbeatMux mounts just the heartbeat endpoint for cl.
 func heartbeatMux(cl *Cluster) *http.ServeMux {
@@ -120,85 +115,6 @@ func TestHeartbeatDeathAndRejoin(t *testing.T) {
 	p, _ := clA.mem.Peer("b")
 	if p.State != PeerAlive {
 		t.Fatalf("b state after inbound beat = %s, want alive", p.State)
-	}
-}
-
-// TestStealRound exercises the stealer side end-to-end against a
-// fake victim: handout → local run → verified commit-back.
-func TestStealRound(t *testing.T) {
-	report := []byte(`{"experiment":"stub","rows":[1,2,3]}`)
-	job := StolenJob{ID: "j000007", Hash: "abc123", TraceID: "t-1", Spec: json.RawMessage(`{"experiment":"stub"}`)}
-
-	var gotCommit atomic.Pointer[CommitRequest]
-	handouts := atomic.Int64{}
-
-	victimMux := http.NewServeMux()
-	victimMux.HandleFunc("POST "+StealPath, func(w http.ResponseWriter, r *http.Request) {
-		var sr StealRequest
-		json.NewDecoder(r.Body).Decode(&sr)
-		if sr.From != "idle" || sr.Max <= 0 {
-			http.Error(w, "bad steal request", http.StatusBadRequest)
-			return
-		}
-		if handouts.Add(1) == 1 {
-			json.NewEncoder(w).Encode(StealResponse{Jobs: []StolenJob{job}})
-			return
-		}
-		json.NewEncoder(w).Encode(StealResponse{})
-	})
-	victimMux.HandleFunc("POST "+CommitPath, func(w http.ResponseWriter, r *http.Request) {
-		var cr CommitRequest
-		if err := json.NewDecoder(r.Body).Decode(&cr); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		sum := sha256.Sum256(cr.Report)
-		if hex.EncodeToString(sum[:]) != cr.Sha {
-			http.Error(w, "sha mismatch", http.StatusBadRequest)
-			return
-		}
-		gotCommit.Store(&cr)
-		w.WriteHeader(http.StatusOK)
-	})
-	victimMux.HandleFunc("POST "+HeartbeatPath, func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(Heartbeat{From: "victim", QueueLen: 10})
-	})
-	victim := httptest.NewServer(victimMux)
-	defer victim.Close()
-
-	ran := atomic.Int64{}
-	host := &stubHost{run: func(ctx context.Context, j StolenJob) ([]byte, error) {
-		ran.Add(1)
-		if j.ID != job.ID || j.Hash != job.Hash {
-			t.Errorf("RunStolen got %+v", j)
-		}
-		return report, nil
-	}}
-
-	cl, err := New(Config{
-		NodeID:            "idle",
-		Peers:             map[string]string{"victim": victim.URL},
-		HeartbeatInterval: 10 * time.Millisecond,
-		StealThreshold:    4,
-		StealMax:          2,
-		StealInterval:     10 * time.Millisecond,
-	}, host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Start()
-	defer cl.Stop()
-
-	waitFor(t, "steal round to complete", func() bool { return gotCommit.Load() != nil })
-	cr := gotCommit.Load()
-	if cr.ID != job.ID || cr.Hash != job.Hash || cr.RanBy != "idle" || string(cr.Report) != string(report) {
-		t.Fatalf("commit = %+v", cr)
-	}
-	if ran.Load() != 1 {
-		t.Fatalf("RunStolen ran %d times, want 1", ran.Load())
-	}
-	if cl.Counters.StealsIn.Load() != 1 {
-		t.Fatalf("StealsIn = %d, want 1", cl.Counters.StealsIn.Load())
 	}
 }
 

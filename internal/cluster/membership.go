@@ -30,8 +30,8 @@ type Peer struct {
 	State  PeerState `json:"state"`
 	Misses int       `json:"misses"`
 	// QueueLen, Epoch, and Draining are gossip from the peer's last
-	// successful heartbeat: its queue depth (the steal loop's signal),
-	// its ring epoch (operator agreement check), and whether it is
+	// successful heartbeat: its queue depth (shown on readyz), its
+	// ring epoch (operator agreement check), and whether it is
 	// shutting down (drained peers stop owning new work).
 	QueueLen int    `json:"queue_len"`
 	Epoch    uint64 `json:"epoch"`

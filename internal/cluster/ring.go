@@ -10,16 +10,15 @@
 //     is rebuilt from the non-dead set whenever a peer crosses the
 //     dead boundary (each rebuild bumps the local epoch, which the
 //     heartbeats gossip so operators can see agreement);
-//   - a work-stealing loop: an idle node pulls queued specs from a
-//     peer whose queue depth crossed the steal threshold, runs them
-//     locally, and writes the report back through the victim's
-//     cache-commit path so the accepted-job WAL invariants hold.
+//   - hash-verified peer fill: FetchReport pulls a report by spec
+//     hash from the peers in ring-ownership order and re-hashes the
+//     bytes before returning them.
 //
-// The package is deliberately ignorant of the server's types: specs
-// travel as raw JSON, reports as verified bytes, and the server
-// plugs in through the Host interface. That keeps the dependency
-// one-way (server imports cluster) and the ring/membership logic
-// unit-testable without a serving stack.
+// The package is deliberately ignorant of the server's types:
+// reports travel as verified bytes, and the server plugs in through
+// the Host interface. That keeps the dependency one-way (server
+// imports cluster) and the ring/membership logic unit-testable
+// without a serving stack.
 package cluster
 
 import (

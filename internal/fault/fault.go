@@ -1,12 +1,19 @@
-// Package fault is the simulator's deterministic fault-injection
-// plane. Experiments thread named injection sites into the hot paths
-// (buddy allocation, compaction migration, THP allocation, trace
-// decode); a Plane decides per site, from its own rng.Stream, whether
-// each crossing of a site fails. Because every draw comes from a
-// stream derived purely from (plane seed, site name), the injected
-// fault sequence is a function of the job's seed alone — never of
-// scheduling, worker count, or which other sites exist — so
-// `-parallel 1` and `-parallel N` inject identical faults.
+// Package fault is the repository's one deterministic fault-injection
+// core. A caller names its injection sites; a Spec maps sites to
+// per-crossing failure rates, parsed from a flag value against the
+// caller's list of valid sites; a Plane decides per site, from its
+// own rng.Stream, whether each crossing of a site fails. Because
+// every draw comes from a stream derived purely from (plane seed,
+// site name), the injected fault sequence is a function of the seed
+// alone — never of scheduling, worker count, or which other sites
+// exist — so `-parallel 1` and `-parallel N` inject identical faults.
+//
+// Two planes use the core. The simulator threads the sites below
+// into its hot paths (buddy allocation, compaction migration, THP
+// allocation, trace decode), one Plane per job. The serving layer's
+// disk plane (internal/server/faultfs) names its own write, rename,
+// fsync and slow-I/O sites and serializes one shared Plane under a
+// mutex.
 //
 // A nil *Plane is valid and injects nothing; hot paths may call its
 // methods unconditionally without drawing random numbers or
@@ -16,6 +23,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,16 +52,15 @@ const (
 	SiteTraceCorrupt Site = "trace-corrupt"
 )
 
-// Sites lists every valid injection site, in display order.
+// Sites lists every valid simulator injection site, in display order.
 func Sites() []Site {
 	return []Site{SiteBuddyAlloc, SiteCompactMigrate, SiteTHPAlloc, SiteTraceCorrupt}
 }
 
-// siteNames renders the valid set for error messages.
-func siteNames() string {
-	sites := Sites()
-	names := make([]string, len(sites))
-	for i, s := range sites {
+// siteNames renders a valid set for error messages.
+func siteNames(valid []Site) string {
+	names := make([]string, len(valid))
+	for i, s := range valid {
 		names[i] = string(s)
 	}
 	return strings.Join(names, ", ")
@@ -67,11 +74,15 @@ type Spec struct {
 	Rates map[Site]float64
 }
 
-// ParseSpec parses a -faults flag value: comma-separated site=rate
-// pairs, where site is one of Sites() or "all" (every site at once)
-// and rate is a probability in [0, 1]. The empty string parses to the
-// zero Spec (no injection).
-func ParseSpec(s string) (Spec, error) {
+// ParseSpec parses a -faults flag value against the simulator's
+// Sites().
+func ParseSpec(s string) (Spec, error) { return Parse(s, Sites()) }
+
+// Parse parses comma-separated site=rate pairs, where site is one of
+// valid or "all" (every valid site at once) and rate is a probability
+// in [0, 1]; NaN is refused with the other out-of-range rates. The
+// empty string parses to the zero Spec (no injection).
+func Parse(s string, valid []Site) (Spec, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return Spec{}, nil
@@ -80,36 +91,29 @@ func ParseSpec(s string) (Spec, error) {
 	for _, raw := range strings.Split(s, ",") {
 		pair := strings.TrimSpace(raw)
 		if pair == "" {
-			return Spec{}, fmt.Errorf("fault: empty entry in spec %q (valid sites: %s, all)", s, siteNames())
+			return Spec{}, fmt.Errorf("fault: empty entry in spec %q (valid sites: %s, all)", s, siteNames(valid))
 		}
 		name, rateStr, ok := strings.Cut(pair, "=")
 		if !ok {
-			return Spec{}, fmt.Errorf("fault: entry %q is not site=rate (valid sites: %s, all)", pair, siteNames())
+			return Spec{}, fmt.Errorf("fault: entry %q is not site=rate (valid sites: %s, all)", pair, siteNames(valid))
 		}
 		name = strings.TrimSpace(name)
 		rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
 		if err != nil {
 			return Spec{}, fmt.Errorf("fault: rate in %q is not a number: %v", pair, err)
 		}
-		if rate < 0 || rate > 1 {
+		if !(rate >= 0 && rate <= 1) {
 			return Spec{}, fmt.Errorf("fault: rate %g in %q outside [0, 1]", rate, pair)
 		}
 		if name == "all" {
-			for _, site := range Sites() {
+			for _, site := range valid {
 				spec.Rates[site] = rate
 			}
 			continue
 		}
 		site := Site(name)
-		valid := false
-		for _, s := range Sites() {
-			if s == site {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return Spec{}, fmt.Errorf("fault: unknown site %q (valid sites: %s, all)", name, siteNames())
+		if !slices.Contains(valid, site) {
+			return Spec{}, fmt.Errorf("fault: unknown site %q (valid sites: %s, all)", name, siteNames(valid))
 		}
 		spec.Rates[site] = rate
 	}
@@ -178,7 +182,8 @@ type siteState struct {
 
 // Plane decides, per site, whether each crossing fails. A nil Plane
 // injects nothing and its methods are safe to call. A Plane is NOT
-// safe for concurrent use: each job builds its own from its own seed.
+// safe for concurrent use: each simulator job builds its own from its
+// own seed, and faultfs serializes its shared one under a mutex.
 type Plane struct {
 	sites map[Site]*siteState
 	// tracer receives EvFaultInject events (nil when disabled); the

@@ -62,7 +62,7 @@ func TestParseSpec(t *testing.T) {
 		}
 	})
 	t.Run("bad rates rejected", func(t *testing.T) {
-		for _, in := range []string{"buddy-alloc=x", "buddy-alloc=-0.1", "buddy-alloc=1.5", "buddy-alloc", "buddy-alloc=0.1,,thp-alloc=0.2"} {
+		for _, in := range []string{"buddy-alloc=x", "buddy-alloc=-0.1", "buddy-alloc=1.5", "buddy-alloc=NaN", "buddy-alloc", "buddy-alloc=0.1,,thp-alloc=0.2"} {
 			if _, err := ParseSpec(in); err == nil {
 				t.Errorf("ParseSpec(%q) accepted a bad entry", in)
 			}

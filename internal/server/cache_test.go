@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"colt/internal/fault"
 	"colt/internal/metrics"
 	"colt/internal/server/faultfs"
 )
@@ -238,17 +239,17 @@ func TestCacheTornIndexRebuilds(t *testing.T) {
 // result from the memory overlay.
 func TestCachePutFsyncFaultFallsBackToOverlay(t *testing.T) {
 	dir := t.TempDir()
-	plane := faultfs.NewPlane(faultfs.Spec{Rates: map[faultfs.Op]float64{faultfs.OpFsync: 1}}, 11)
+	plane := faultfs.NewPlane(fault.Spec{Rates: map[fault.Site]float64{faultfs.OpFsync: 1}}, 11)
 	c, err := OpenCacheFS(dir, faultfs.Faulty(faultfs.OS(), plane))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []byte(`{"r":1}`)
 	err = c.Put("ka", "exp", want)
-	if err == nil || !faultfs.IsInjected(err) {
+	if err == nil || !fault.IsInjected(err) {
 		t.Fatalf("Put under fsync-fail = %v, want injected error", err)
 	}
-	if plane.Injected(faultfs.OpFsync) == 0 {
+	if plane.InjectedTotal() == 0 {
 		t.Fatal("fsync site never fired: the entry write is not syncing")
 	}
 	if _, serr := os.Stat(filepath.Join(dir, "ka.json")); !os.IsNotExist(serr) {
@@ -274,13 +275,13 @@ func TestCacheSaveIndexFsyncFault(t *testing.T) {
 	if err := seed.Put("ka", "exp", []byte(`{"a":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	plane := faultfs.NewPlane(faultfs.Spec{Rates: map[faultfs.Op]float64{faultfs.OpFsync: 1}}, 12)
+	plane := faultfs.NewPlane(fault.Spec{Rates: map[fault.Site]float64{faultfs.OpFsync: 1}}, 12)
 	c, err := OpenCacheFS(dir, faultfs.Faulty(faultfs.OS(), plane))
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = c.SaveIndex()
-	if err == nil || !faultfs.IsInjected(err) {
+	if err == nil || !fault.IsInjected(err) {
 		t.Fatalf("SaveIndex under fsync-fail = %v, want injected error", err)
 	}
 	if _, serr := os.Stat(filepath.Join(dir, cacheIndexFile)); !os.IsNotExist(serr) {

@@ -2,11 +2,9 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
@@ -31,230 +29,14 @@ const (
 	experimentHeader = "X-Colt-Experiment"
 )
 
-// maxClusterBody bounds any cross-node body read (reports, commit
-// payloads). Matches the cluster package's own fill ceiling.
-const maxClusterBody = 16 << 20
-
-// stolenLease tracks one job handed to a remote stealer: who took
-// it and when the victim gives up waiting and requeues it.
-type stolenLease struct {
-	j       *Job
-	stealer string
-	expires time.Time
-}
-
 // ---- cluster.Host implementation ----------------------------------
 
-// QueueLen implements cluster.Host: current run-queue depth. It is
-// the number heartbeats gossip and steal decisions key on.
+// QueueLen implements cluster.Host: current run-queue depth, the
+// number heartbeats gossip and readyz shows per peer.
 func (s *Server) QueueLen() int { return len(s.queue) }
 
 // Draining implements cluster.Host.
 func (s *Server) Draining() bool { return s.draining.Load() }
-
-// RunStolen implements cluster.Host: execute a job stolen from a
-// peer. The spec is re-canonicalized locally and refused if its
-// content hash disagrees with the victim's claim — a confused victim
-// can waste this node's time but never poison its cache. The report
-// also lands in the local cache, so the hash becomes servable from
-// this node too (stealing doubles as replication).
-func (s *Server) RunStolen(ctx context.Context, job cluster.StolenJob) ([]byte, error) {
-	var spec Spec
-	if err := json.Unmarshal(job.Spec, &spec); err != nil {
-		return nil, fmt.Errorf("stolen spec: %w", err)
-	}
-	can, err := Canonicalize(spec, s.cfg.Registry)
-	if err != nil {
-		return nil, fmt.Errorf("stolen spec: %w", err)
-	}
-	if can.Hash != job.Hash {
-		return nil, fmt.Errorf("stolen spec hash mismatch: victim claims %.12s, local canonicalization %.12s",
-			job.Hash, can.Hash)
-	}
-	if b, ok := s.cache.Get(can.Hash); ok {
-		return b, nil // already computed here; the steal resolves for free
-	}
-	s.simulations.Add(1)
-	b, _, err := s.runSpec(ctx, can, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.cache.Put(can.Hash, can.Exp.Name, b); err != nil {
-		s.noteDiskOp(err)
-	} else {
-		s.noteDiskOp(nil)
-	}
-	return b, nil
-}
-
-// ---- victim side: handout, commit, lease reaping ------------------
-
-// stealHandout pops up to max queued jobs for a remote stealer. Only
-// hands work out while the queue is at or past the steal threshold —
-// gossip lags, and a queue that drained since the stealer's last
-// heartbeat should keep its jobs local. Popped jobs go through the
-// same pre-dispatch checks a worker applies (drain checkpoint, blown
-// deadline), then move to running under a lease; the reaper requeues
-// them if the stealer never commits.
-func (s *Server) stealHandout(stealer string, max int) []cluster.StolenJob {
-	if s.cluster == nil || s.draining.Load() || len(s.queue) < s.stealThreshold {
-		return nil
-	}
-	var out []cluster.StolenJob
-	now := time.Now()
-	for len(out) < max {
-		select {
-		case j, ok := <-s.queue:
-			if !ok {
-				return out // queue closed: drain won the race
-			}
-			s.queueSlots.Add(1)
-			if s.isDraining() {
-				s.checkpoint(j)
-				return out
-			}
-			if !j.deadline.IsZero() && now.After(j.deadline) {
-				j.finish(JobCanceled, "deadline exceeded while queued", now)
-				s.dropInflight(j)
-				s.deadlineShed.Add(1)
-				s.journalCommit(j.Can.Hash)
-				continue
-			}
-			if !j.startStolen(stealer, now) {
-				continue // canceled while queued
-			}
-			specBytes, err := json.Marshal(j.Can.Spec)
-			if err != nil {
-				// Specs are plain structs; a marshal failure is a bug,
-				// but failing the job loudly beats stranding it running.
-				j.finish(JobFailed, "encoding spec for steal: "+err.Error(), now)
-				s.dropInflight(j)
-				s.journalCommit(j.Can.Hash)
-				continue
-			}
-			s.stolenMu.Lock()
-			s.stolen[j.ID] = &stolenLease{j: j, stealer: stealer, expires: now.Add(s.stealLease)}
-			s.stolenMu.Unlock()
-			out = append(out, cluster.StolenJob{
-				ID: j.ID, Hash: j.Can.Hash, TraceID: j.TraceID(), Spec: specBytes,
-			})
-			s.slog.Info("job stolen", "trace", j.TraceID(), "job", j.ID,
-				"hash", j.Can.Hash, "stealer", stealer)
-		default:
-			return out
-		}
-	}
-	return out
-}
-
-// completeStolen lands a stolen job's report through the victim's
-// own cache-commit path: verify the bytes against their claimed
-// SHA-256, Put (overlay on a failing disk, exactly like a local
-// run), resolve the WAL record only on a durable Put, finish the
-// job. A commit arriving after the lease was reaped still lands —
-// the bytes are correct regardless of who computed them, and the
-// requeued local run collapses into a no-op when it finds the job
-// terminal.
-func (s *Server) completeStolen(req cluster.CommitRequest) error {
-	if metrics.Sum256Hex(req.Report) != req.Sha {
-		s.cluster.Counters.StealErrors.Add(1)
-		return fmt.Errorf("commit report bytes do not match their claimed sha")
-	}
-	j, ok := s.lookupJob(req.ID)
-	if !ok {
-		return fmt.Errorf("unknown job %q", req.ID)
-	}
-	if j.Can.Hash != req.Hash {
-		s.cluster.Counters.StealErrors.Add(1)
-		return fmt.Errorf("commit hash %.12s does not match job %s (%.12s)", req.Hash, req.ID, j.Can.Hash)
-	}
-	s.stolenMu.Lock()
-	delete(s.stolen, req.ID)
-	s.stolenMu.Unlock()
-	now := time.Now()
-	if err := s.cache.Put(req.Hash, j.Can.Exp.Name, req.Report); err != nil {
-		s.noteDiskOp(err)
-		log.Printf("server: stolen commit cache write failed (serving from memory): %v", err)
-	} else {
-		s.noteDiskOp(nil)
-		s.journalCommit(req.Hash)
-	}
-	j.mark("committed", now)
-	j.finish(JobDone, "", time.Now())
-	s.dropInflight(j)
-	s.slog.Info("stolen job committed", "trace", j.TraceID(), "job", j.ID,
-		"hash", req.Hash, "ran_by", req.RanBy, "bytes", len(req.Report))
-	return nil
-}
-
-// stolenReaper periodically reclaims stolen jobs whose lease expired
-// without a commit — a crashed or partitioned stealer must not strand
-// acknowledged work.
-func (s *Server) stolenReaper() {
-	period := s.stealLease / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-s.probeStop:
-			return
-		case <-t.C:
-			s.reapStolen(time.Now())
-		}
-	}
-}
-
-// reapStolen requeues every expired lease's job. The requeue retakes
-// a queue slot and re-enters the queue under admitMu's read lock —
-// the same ordering against Drain's close that admission uses. If no
-// slot is free the job fails loudly rather than waiting forever on a
-// stealer that is gone.
-func (s *Server) reapStolen(now time.Time) {
-	var expired []*stolenLease
-	s.stolenMu.Lock()
-	for id, l := range s.stolen {
-		if now.After(l.expires) {
-			delete(s.stolen, id)
-			expired = append(expired, l)
-		}
-	}
-	s.stolenMu.Unlock()
-	for _, l := range expired {
-		j := l.j
-		if j.stateFast().terminal() {
-			continue // commit landed between expiry and now
-		}
-		if !s.reserveSlot() {
-			j.finish(JobFailed, fmt.Sprintf("stolen by %s, lease expired, and queue full on requeue", l.stealer), now)
-			s.dropInflight(j)
-			s.journalCommit(j.Can.Hash)
-			continue
-		}
-		s.admitMu.RLock()
-		if s.draining.Load() {
-			s.admitMu.RUnlock()
-			s.queueSlots.Add(1)
-			// Drain will never run it; its WAL record stays live so a
-			// restart replays the spec — the crash-equivalent story.
-			continue
-		}
-		if !j.requeue(now) {
-			s.admitMu.RUnlock()
-			s.queueSlots.Add(1)
-			continue
-		}
-		s.queue <- j
-		s.admitMu.RUnlock()
-		s.cluster.Counters.StealErrors.Add(1)
-		s.slog.Warn("stolen lease expired; job requeued", "trace", j.TraceID(),
-			"job", j.ID, "stealer", l.stealer)
-	}
-}
 
 // ---- submit-side routing: peer fill and ownership proxy -----------
 
@@ -343,7 +125,7 @@ func (s *Server) proxySubmit(w http.ResponseWriter, r *http.Request, spec Spec, 
 	}
 	w.Header().Set("X-Colt-Proxied-To", owner)
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, io.LimitReader(resp.Body, maxClusterBody))
+	io.Copy(w, io.LimitReader(resp.Body, cluster.MaxBody))
 	s.slog.Info("submit proxied", "trace", trace, "owner", owner, "status", resp.StatusCode)
 	return true
 }
@@ -400,7 +182,7 @@ func (s *Server) teeProxiedReport(r *http.Request) func(*http.Response) error {
 		if resp.StatusCode != http.StatusOK {
 			return nil
 		}
-		b, err := io.ReadAll(io.LimitReader(resp.Body, maxClusterBody))
+		b, err := io.ReadAll(io.LimitReader(resp.Body, cluster.MaxBody))
 		resp.Body.Close()
 		if err != nil {
 			return err
@@ -438,36 +220,6 @@ func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, s.cluster.HandleHeartbeat(hb))
 }
 
-func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
-	var req cluster.StealRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid steal request: %v", err)
-		return
-	}
-	if req.Max <= 0 || req.From == "" {
-		writeError(w, http.StatusBadRequest, "steal request needs from and max > 0")
-		return
-	}
-	jobs := s.stealHandout(req.From, req.Max)
-	s.cluster.Counters.StealsOut.Add(uint64(len(jobs)))
-	writeJSON(w, http.StatusOK, cluster.StealResponse{Jobs: jobs})
-}
-
-func (s *Server) handleClusterCommit(w http.ResponseWriter, r *http.Request) {
-	var req cluster.CommitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxClusterBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid commit: %v", err)
-		return
-	}
-	if err := s.completeStolen(req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Status string `json:"status"`
-	}{Status: "ok"})
-}
-
 // handleClusterReport serves raw report bytes by spec hash for peer
 // fill. Get re-verifies the stored bytes before they leave this
 // node, and the response carries their SHA-256 for the fetching
@@ -502,13 +254,7 @@ type ClusterStats struct {
 	PeerFillOK      uint64 `json:"peer_fill_ok"`
 	PeerFillMiss    uint64 `json:"peer_fill_miss"`
 	PeerFillCorrupt uint64 `json:"peer_fill_corrupt,omitempty"`
-	StealsIn        uint64 `json:"steals_in"`
-	StealsOut       uint64 `json:"steals_out"`
-	StealErrors     uint64 `json:"steal_errors,omitempty"`
 	RingRebuilds    uint64 `json:"ring_rebuilds"`
-	// StolenOutstanding is how many of this node's jobs are out on
-	// lease to stealers right now.
-	StolenOutstanding int `json:"stolen_outstanding,omitempty"`
 }
 
 // clusterStats assembles the Stats block (nil when unclustered).
@@ -518,25 +264,18 @@ func (s *Server) clusterStats() *ClusterStats {
 	}
 	alive, suspect, dead := s.cluster.Counts()
 	c := &s.cluster.Counters
-	s.stolenMu.Lock()
-	outstanding := len(s.stolen)
-	s.stolenMu.Unlock()
 	return &ClusterStats{
-		NodeID:            s.cluster.NodeID(),
-		Epoch:             s.cluster.Epoch(),
-		RingSize:          s.cluster.Ring().Size(),
-		PeersAlive:        alive,
-		PeersSuspect:      suspect,
-		PeersDead:         dead,
-		ProxiedSubmits:    c.ProxiedSubmits.Load(),
-		ProxyFallbacks:    c.ProxyFallbacks.Load(),
-		PeerFillOK:        c.PeerFillOK.Load(),
-		PeerFillMiss:      c.PeerFillMiss.Load(),
-		PeerFillCorrupt:   c.PeerFillCorrupt.Load(),
-		StealsIn:          c.StealsIn.Load(),
-		StealsOut:         c.StealsOut.Load(),
-		StealErrors:       c.StealErrors.Load(),
-		RingRebuilds:      c.RingRebuilds.Load(),
-		StolenOutstanding: outstanding,
+		NodeID:          s.cluster.NodeID(),
+		Epoch:           s.cluster.Epoch(),
+		RingSize:        s.cluster.Ring().Size(),
+		PeersAlive:      alive,
+		PeersSuspect:    suspect,
+		PeersDead:       dead,
+		ProxiedSubmits:  c.ProxiedSubmits.Load(),
+		ProxyFallbacks:  c.ProxyFallbacks.Load(),
+		PeerFillOK:      c.PeerFillOK.Load(),
+		PeerFillMiss:    c.PeerFillMiss.Load(),
+		PeerFillCorrupt: c.PeerFillCorrupt.Load(),
+		RingRebuilds:    c.RingRebuilds.Load(),
 	}
 }

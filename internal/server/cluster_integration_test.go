@@ -49,8 +49,7 @@ func (n *testNode) kill() {
 
 // newTestCluster boots n coltd servers wired into one fleet. mutate
 // (optional) edits each node's Config after the cluster block is
-// filled in — tests use it to install gated registries or steal
-// thresholds.
+// filled in — tests use it to install gated registries.
 func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*testNode {
 	t.Helper()
 	nodes := make([]*testNode, n)
@@ -75,7 +74,6 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*tes
 				NodeID:            nd.id,
 				Peers:             peers,
 				HeartbeatInterval: 25 * time.Millisecond,
-				StealInterval:     25 * time.Millisecond,
 			},
 		}
 		if mutate != nil {
@@ -336,124 +334,6 @@ func TestClusterKillNodeSurvivors(t *testing.T) {
 	if after := fleetSimulations(survivors); after != survivorSimsBefore {
 		t.Fatalf("survivors re-ran %d simulations; every hash should have served from cache or a peer",
 			after-survivorSimsBefore)
-	}
-}
-
-// TestClusterWorkStealing: a victim whose queue backs up has its
-// queued jobs pulled by an idle peer, executed there, and committed
-// back through the victim's cache — the victim's job objects reach
-// done with verifiable reports even though its own worker never ran
-// them.
-func TestClusterWorkStealing(t *testing.T) {
-	victimGate := make(chan struct{})
-	nodes := newTestCluster(t, 2, func(i int, cfg *Config) {
-		cfg.Workers = 1
-		cfg.Cluster.StealThreshold = 2
-		cfg.Cluster.StealMax = 4
-		if i == 0 {
-			cfg.Registry = stubRegistry(victimGate) // victim's own runs block
-		}
-	})
-	victim, stealer := nodes[0], nodes[1]
-	defer close(victimGate)
-
-	// Find specs the victim owns so submissions to it stay local.
-	ring := victim.s.cluster.Ring()
-	var specs []Spec
-	for seed := uint64(1); len(specs) < 4; seed++ {
-		sp := Spec{Experiment: "stub", Quick: true, Seed: seed}
-		can, err := Canonicalize(sp, stubRegistry(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ring.Owner(can.Hash) == victim.id {
-			specs = append(specs, sp)
-		}
-	}
-
-	// First submission occupies the victim's only worker (gated); the
-	// rest pile up in its queue past the steal threshold.
-	var jobIDs []string
-	for _, sp := range specs {
-		b, _ := json.Marshal(sp)
-		_, js := submitJSON(t, victim.ts.URL, string(b))
-		jobIDs = append(jobIDs, js.ID)
-	}
-
-	// The idle stealer must pull the queued jobs and commit them back:
-	// queued victim jobs reach done while the victim's worker is still
-	// gated.
-	waitFor(t, 10*time.Second, func() bool {
-		done := 0
-		for _, id := range jobIDs[1:] {
-			j, ok := victim.s.lookupJob(id)
-			if !ok {
-				return false
-			}
-			if st, _ := j.State(); st == JobDone {
-				done++
-			}
-		}
-		return done == len(jobIDs)-1
-	})
-	if got := stealer.s.cluster.Counters.StealsIn.Load(); got == 0 {
-		t.Fatal("stealer reports zero steals despite remote completions")
-	}
-	if got := victim.s.cluster.Counters.StealsOut.Load(); got == 0 {
-		t.Fatal("victim reports zero handed-out jobs")
-	}
-	// Stolen results must be hash-verifiable through the victim.
-	for _, id := range jobIDs[1:] {
-		rr, b := getBody(t, victim.ts.URL+"/v1/jobs/"+id+"/report")
-		if rr.StatusCode != http.StatusOK {
-			t.Fatalf("stolen job %s report: status %d", id, rr.StatusCode)
-		}
-		if sha := rr.Header.Get("X-Report-Sha256"); sha != "" && metrics.Sum256Hex(b) != sha {
-			t.Fatalf("stolen job %s report bytes do not match advertised sha", id)
-		}
-	}
-
-	// Release the gated job and confirm the whole set lands done.
-	// (close via defer would also do it, but assert the happy path.)
-	victimGate <- struct{}{}
-	waitDoneHTTP(t, victim.ts.URL, jobIDs[0])
-}
-
-// TestStolenLeaseReclaim: a stolen job whose stealer vanishes is
-// requeued locally once its lease expires — no job is lost to a dead
-// thief.
-func TestStolenLeaseReclaim(t *testing.T) {
-	// A one-node cluster: no peers to steal for real, but the lease
-	// machinery (stolen map, reaper, cluster counters) is armed.
-	s := newStubServer(t, Config{
-		Cluster: &cluster.Config{NodeID: "n1"},
-	}, nil)
-	res := mustSubmit(t, s, Spec{Experiment: "stub", Quick: true, Seed: 1})
-	waitState(t, res.Job, JobDone)
-
-	// Fabricate a second job held on an expired lease: minted, marked
-	// running-as-stolen, never committed.
-	can, err := Canonicalize(Spec{Experiment: "stub", Quick: true, Seed: 2}, stubRegistry(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	j := s.newTrackedJob(can, now, false, "trace-lease")
-	if !j.startStolen("ghost", now) {
-		t.Fatal("startStolen refused a queued job")
-	}
-	s.stolenMu.Lock()
-	s.stolen[j.ID] = &stolenLease{j: j, stealer: "ghost", expires: now.Add(-time.Second)}
-	s.stolenMu.Unlock()
-
-	s.reapStolen(time.Now())
-
-	waitState(t, j, JobDone)
-	s.stolenMu.Lock()
-	left := len(s.stolen)
-	s.stolenMu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d stolen leases survive the reap", left)
 	}
 }
 

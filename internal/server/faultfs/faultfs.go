@@ -1,12 +1,11 @@
 // Package faultfs is the serving layer's deterministic disk-fault
 // plane: an injectable filesystem seam threaded through every durable
 // write coltd performs (cache entries, the accepted-job journal, the
-// cache index, drain checkpoints). It is the filesystem counterpart
-// of internal/fault — the same discipline (named sites, per-site
-// rng.Stream generators derived purely from a seed, crossing
-// counters) applied to the serving layer's real enemy: write
+// cache index, drain checkpoints). The spec parsing, per-site
+// rng.Stream draws, counters and injected error type are
+// internal/fault's core; this package names the disk sites — write
 // failures, short writes, failed renames, failed fsyncs, and slow
-// I/O.
+// I/O — and applies them to real file operations.
 //
 // Determinism: each site draws from its own rng.Stream(site name), so
 // the per-site fire/no-fire sequence is a pure function of (seed,
@@ -22,183 +21,54 @@ package faultfs
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"colt/internal/rng"
+	"colt/internal/fault"
 )
 
-// Op names one disk-fault injection site.
-type Op string
-
+// The disk-fault injection sites. A -disk-faults spec is parsed
+// against Ops() with fault.Parse.
 const (
 	// OpWrite fails a file write outright: no bytes reach the file.
-	OpWrite Op = "write-fail"
+	OpWrite fault.Site = "write-fail"
 	// OpShortWrite tears a file write: only the first half of the
 	// buffer reaches the file before the error surfaces — the on-disk
 	// state a crash mid-write leaves behind.
-	OpShortWrite Op = "short-write"
+	OpShortWrite fault.Site = "short-write"
 	// OpRename fails the rename that commits an atomic write; the
 	// temp file is left behind and the destination is untouched.
-	OpRename Op = "rename-fail"
+	OpRename fault.Site = "rename-fail"
 	// OpFsync fails an fsync (file or parent directory). Data may sit
 	// in the page cache but durability was never promised.
-	OpFsync Op = "fsync-fail"
+	OpFsync fault.Site = "fsync-fail"
 	// OpSlowIO delays a write by the plane's slow-I/O latency instead
 	// of failing it — the stall that deadline propagation must absorb.
-	OpSlowIO Op = "slow-io"
+	OpSlowIO fault.Site = "slow-io"
 )
 
-// Ops lists every valid injection site, in display order.
-func Ops() []Op {
-	return []Op{OpWrite, OpShortWrite, OpRename, OpFsync, OpSlowIO}
+// Ops lists every valid disk injection site, in display order.
+func Ops() []fault.Site {
+	return []fault.Site{OpWrite, OpShortWrite, OpRename, OpFsync, OpSlowIO}
 }
 
-// opNames renders the valid set for error messages.
-func opNames() string {
-	ops := Ops()
-	names := make([]string, len(ops))
-	for i, o := range ops {
-		names[i] = string(o)
-	}
-	return strings.Join(names, ", ")
-}
-
-// Spec is a per-site injection rate configuration. The zero value
-// injects nothing.
-type Spec struct {
-	// Rates maps each op to its per-crossing failure probability in
-	// [0, 1]. Ops absent from the map never fail.
-	Rates map[Op]float64
-}
-
-// ParseSpec parses a -disk-faults flag value: comma-separated op=rate
-// pairs, where op is one of Ops() or "all" (every op at once) and
-// rate is a probability in [0, 1]. The empty string parses to the
-// zero Spec (no injection).
-func ParseSpec(s string) (Spec, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return Spec{}, nil
-	}
-	spec := Spec{Rates: map[Op]float64{}}
-	for _, raw := range strings.Split(s, ",") {
-		pair := strings.TrimSpace(raw)
-		if pair == "" {
-			return Spec{}, fmt.Errorf("faultfs: empty entry in spec %q (valid ops: %s, all)", s, opNames())
-		}
-		name, rateStr, ok := strings.Cut(pair, "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("faultfs: entry %q is not op=rate (valid ops: %s, all)", pair, opNames())
-		}
-		name = strings.TrimSpace(name)
-		rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("faultfs: rate in %q is not a number: %v", pair, err)
-		}
-		if rate < 0 || rate > 1 {
-			return Spec{}, fmt.Errorf("faultfs: rate %g in %q outside [0, 1]", rate, pair)
-		}
-		if name == "all" {
-			for _, op := range Ops() {
-				spec.Rates[op] = rate
-			}
-			continue
-		}
-		op := Op(name)
-		valid := false
-		for _, o := range Ops() {
-			if o == op {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return Spec{}, fmt.Errorf("faultfs: unknown op %q (valid ops: %s, all)", name, opNames())
-		}
-		spec.Rates[op] = rate
-	}
-	return spec, nil
-}
-
-// Enabled reports whether any op has a non-zero rate.
-func (s Spec) Enabled() bool {
-	for _, r := range s.Rates {
-		if r > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// String renders the spec canonically (ops sorted by name) for logs
-// and deterministic reports. The zero spec renders "".
-func (s Spec) String() string {
-	var ops []Op
-	for op, r := range s.Rates {
-		if r > 0 {
-			ops = append(ops, op)
-		}
-	}
-	if len(ops) == 0 {
-		return ""
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	parts := make([]string, len(ops))
-	for i, op := range ops {
-		parts[i] = string(op) + "=" + strconv.FormatFloat(s.Rates[op], 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
-
-// Error is the error injected at an op. Seq is the per-op crossing
-// count at which the fault fired, so failure messages are stable for
-// a given seed and call sequence.
-type Error struct {
-	Op  Op
-	Seq uint64
-}
-
-func (e *Error) Error() string {
-	return fmt.Sprintf("faultfs: injected %s failure (crossing %d)", e.Op, e.Seq)
-}
-
-// IsInjected reports whether err was produced by the disk-fault plane
-// (possibly wrapped).
-func IsInjected(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe)
-}
-
-// opState is one op's generator, rate, and counters.
-type opState struct {
-	rng       *rng.RNG
-	rate      float64
-	crossings uint64
-	injected  uint64
-}
-
-// Plane decides, per op, whether each crossing fails. Unlike the
-// simulation plane (one per job, single-goroutine), the disk plane is
-// shared by every worker and handler that touches the filesystem, so
-// its draws are serialized under a mutex. A nil Plane injects nothing
-// and its methods are safe to call.
+// Plane is the disk-fault plane. Unlike the simulation plane (one
+// per job, single-goroutine), it is shared by every worker and
+// handler that touches the filesystem, so its draws on the core
+// fault.Plane are serialized under a mutex. A nil Plane injects
+// nothing and its methods are safe to call.
 type Plane struct {
-	mu    sync.Mutex
-	sites map[Op]*opState
-	slow  time.Duration
+	mu   sync.Mutex
+	core *fault.Plane
+	slow time.Duration
 
-	// injectedTotal mirrors the sum of per-site injected counts so
-	// InjectedTotal is an atomic load — metric scrapes never contend
-	// with the draw mutex on the durable-write path.
+	// injectedTotal counts every fired fault so InjectedTotal is an
+	// atomic load — metric scrapes never contend with the draw mutex
+	// on the durable-write path.
 	injectedTotal atomic.Uint64
 }
 
@@ -207,21 +77,14 @@ type Plane struct {
 const DefaultSlowIO = 5 * time.Millisecond
 
 // NewPlane builds a plane for spec, deriving one rng stream per
-// configured op from seed. Returns nil when spec injects nothing, so
-// the disabled case stays allocation- and draw-free.
-func NewPlane(spec Spec, seed uint64) *Plane {
-	if !spec.Enabled() {
+// configured site from seed. Returns nil when spec injects nothing,
+// so the disabled case stays allocation- and draw-free.
+func NewPlane(spec fault.Spec, seed uint64) *Plane {
+	core := fault.NewPlane(spec, seed)
+	if core == nil {
 		return nil
 	}
-	root := rng.New(seed)
-	p := &Plane{sites: make(map[Op]*opState, len(spec.Rates)), slow: DefaultSlowIO}
-	for op, rate := range spec.Rates {
-		if rate <= 0 {
-			continue
-		}
-		p.sites[op] = &opState{rng: root.Stream(string(op)), rate: rate}
-	}
-	return p
+	return &Plane{core: core, slow: DefaultSlowIO}
 }
 
 // SetSlowIO overrides the OpSlowIO delay. Safe on a nil plane.
@@ -231,55 +94,19 @@ func (p *Plane) SetSlowIO(d time.Duration) {
 	}
 }
 
-// fail returns an injected *Error if this crossing of op fires, and
-// nil otherwise. Ops with no configured rate never draw, so enabling
-// one op cannot perturb another's sequence.
-func (p *Plane) fail(op Op) error {
+// fail returns an injected *fault.Error if this crossing of op
+// fires, and nil otherwise.
+func (p *Plane) fail(op fault.Site) error {
 	if p == nil {
 		return nil
-	}
-	p.mu.Lock()
-	st := p.sites[op]
-	if st == nil {
-		p.mu.Unlock()
-		return nil
-	}
-	st.crossings++
-	if !st.rng.Bool(st.rate) {
-		p.mu.Unlock()
-		return nil
-	}
-	st.injected++
-	p.injectedTotal.Add(1)
-	seq := st.crossings
-	p.mu.Unlock()
-	return &Error{Op: op, Seq: seq}
-}
-
-// Injected returns how many faults have fired at op.
-func (p *Plane) Injected(op Op) uint64 {
-	if p == nil {
-		return 0
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.sites[op] == nil {
-		return 0
+	err := p.core.Fail(op)
+	if err != nil {
+		p.injectedTotal.Add(1)
 	}
-	return p.sites[op].injected
-}
-
-// Crossings returns how many times op has been evaluated.
-func (p *Plane) Crossings(op Op) uint64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.sites[op] == nil {
-		return 0
-	}
-	return p.sites[op].crossings
+	return err
 }
 
 // InjectedTotal returns how many faults have fired across every op.

@@ -37,11 +37,9 @@ func (s *Server) Handler() http.Handler {
 	route("GET /v1/readyz", s.handleReadyz)
 	route("GET /metrics", s.handleMetrics)
 	if s.cluster != nil {
-		// Fleet-internal endpoints: gossip, work stealing, and
-		// hash-addressed report serving for peer fill.
+		// Fleet-internal endpoints: gossip and hash-addressed report
+		// serving for peer fill.
 		route("POST "+cluster.HeartbeatPath, s.handleClusterHeartbeat)
-		route("POST "+cluster.StealPath, s.handleClusterSteal)
-		route("POST "+cluster.CommitPath, s.handleClusterCommit)
 		route("GET "+cluster.ReportPath+"{hash}", s.handleClusterReport)
 	}
 	return mux

@@ -301,37 +301,6 @@ func (j *Job) start(cancel func()) bool {
 	return true
 }
 
-// startStolen moves a queued job to running on behalf of a remote
-// stealer. No cancel hook is installed — the run lives on the
-// stealer, so a DELETE during the lease marks intent (userCanceled)
-// but the job resolves when the commit or the lease reaper gets to
-// it first. Returns false if the job is no longer queued.
-func (j *Job) startStolen(stealer string, now time.Time) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.stateFast() != JobQueued {
-		return false
-	}
-	j.setStateLocked(JobRunning)
-	j.markLocked("running", now)
-	j.markLocked("stolen:"+stealer, now)
-	return true
-}
-
-// requeue returns a stolen job whose lease expired to the queue:
-// running → queued, recorded in the timeline. Returns false if the
-// job resolved in the meantime.
-func (j *Job) requeue(now time.Time) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.stateFast() != JobRunning {
-		return false
-	}
-	j.setStateLocked(JobQueued)
-	j.markLocked("requeued", now)
-	return true
-}
-
 // requestCancel cancels the job: queued jobs jump straight to
 // canceled under a single lock acquisition — the decision and the
 // transition are atomic, so a racing dispatch either sees canceled

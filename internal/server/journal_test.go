@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"colt/internal/fault"
 	"colt/internal/server/faultfs"
 )
 
@@ -188,17 +189,17 @@ func TestJournalCompact(t *testing.T) {
 // fsyncs (remove the Sync call and this test fails).
 func TestJournalFsyncFaultSurfaces(t *testing.T) {
 	dir := t.TempDir()
-	plane := faultfs.NewPlane(faultfs.Spec{Rates: map[faultfs.Op]float64{faultfs.OpFsync: 1}}, 3)
+	plane := faultfs.NewPlane(fault.Spec{Rates: map[fault.Site]float64{faultfs.OpFsync: 1}}, 3)
 	jl, _, err := openJournal(faultfs.Faulty(faultfs.OS(), plane), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jl.Close()
 	err = jl.Accept(hashFor(t, 0), Spec{Experiment: "stub"}, "tracetest-0000")
-	if err == nil || !faultfs.IsInjected(err) {
+	if err == nil || !fault.IsInjected(err) {
 		t.Fatalf("Accept under fsync-fail = %v, want injected error", err)
 	}
-	if plane.Injected(faultfs.OpFsync) == 0 {
+	if plane.InjectedTotal() == 0 {
 		t.Fatal("fsync site never fired: the journal append is not syncing")
 	}
 }

@@ -200,12 +200,6 @@ func newServerMetrics(srv *Server) *serverMetrics {
 	clusterCounter(fill, fillHelp, func() uint64 { return srv.cluster.Counters.PeerFillOK.Load() }, "outcome", "ok")
 	clusterCounter(fill, fillHelp, func() uint64 { return srv.cluster.Counters.PeerFillMiss.Load() }, "outcome", "miss")
 	clusterCounter(fill, fillHelp, func() uint64 { return srv.cluster.Counters.PeerFillCorrupt.Load() }, "outcome", "corrupt")
-	const steals = "coltd_cluster_steals_total"
-	const stealsHelp = "Cross-node work steals by direction (in = ran here for a peer, out = handed to a peer)."
-	clusterCounter(steals, stealsHelp, func() uint64 { return srv.cluster.Counters.StealsIn.Load() }, "direction", "in")
-	clusterCounter(steals, stealsHelp, func() uint64 { return srv.cluster.Counters.StealsOut.Load() }, "direction", "out")
-	clusterCounter("coltd_cluster_steal_errors_total", "Steal rounds or commits that failed (includes expired leases).",
-		func() uint64 { return srv.cluster.Counters.StealErrors.Load() })
 	const beats = "coltd_cluster_heartbeats_total"
 	const beatsHelp = "Outbound heartbeats by outcome."
 	clusterCounter(beats, beatsHelp, func() uint64 { return srv.cluster.Counters.HeartbeatOK.Load() }, "outcome", "ok")

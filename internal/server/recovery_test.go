@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"colt/internal/fault"
 	"colt/internal/server/faultfs"
 )
 
@@ -114,7 +115,7 @@ func TestCrashReplayRecoversAcceptedJobs(t *testing.T) {
 // drain exits cleanly.
 func TestBreakerTripsAndServesDegraded(t *testing.T) {
 	dir := t.TempDir()
-	spec, err := faultfs.ParseSpec("fsync-fail=1")
+	spec, err := fault.Parse("fsync-fail=1", faultfs.Ops())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 
 	"colt/internal/cluster"
 	"colt/internal/experiments"
+	"colt/internal/fault"
 	"colt/internal/metrics"
 	"colt/internal/obs"
 	"colt/internal/rng"
@@ -67,7 +68,7 @@ type Config struct {
 	// DiskFaults injects deterministic filesystem faults into every
 	// durable write (cache entries, journal appends, checkpoints) —
 	// the chaos harness's disk-failure plane. Zero value disables.
-	DiskFaults faultfs.Spec
+	DiskFaults fault.Spec
 	// DiskFaultSeed seeds the fault plane's per-site streams.
 	DiskFaultSeed uint64
 	// BreakerThreshold is how many consecutive durable-write failures
@@ -80,8 +81,8 @@ type Config struct {
 	ProbeInterval time.Duration
 	// Cluster wires this daemon into a fleet (nil = single-node). In
 	// cluster mode job IDs carry a "<node>." prefix, submissions are
-	// proxied to their ring owner, cache misses try peer fill before
-	// recomputing, and a loaded queue is stealable by idle peers.
+	// proxied to their ring owner, and cache misses try peer fill
+	// before recomputing.
 	Cluster *cluster.Config
 	// Logger receives the request-scoped structured log stream
 	// (admission, execution, cache commit — every line carries the
@@ -211,15 +212,11 @@ type Server struct {
 	om   *serverMetrics
 	slog *slog.Logger
 
-	// Cluster mode (all zero when Config.Cluster is nil). idPrefix is
-	// "<node>." so job IDs are fleet-unique and reads route by prefix;
-	// stolen tracks jobs out on lease to remote stealers.
-	cluster        *cluster.Cluster
-	idPrefix       string
-	stealThreshold int
-	stealLease     time.Duration
-	stolenMu       sync.Mutex
-	stolen         map[string]*stolenLease
+	// Cluster mode (both zero when Config.Cluster is nil). idPrefix
+	// is "<node>." so job IDs are fleet-unique and reads route by
+	// prefix.
+	cluster  *cluster.Cluster
+	idPrefix string
 }
 
 // NewServer builds a server, opens (or creates) its cache and
@@ -255,8 +252,8 @@ func NewServer(cfg Config) (*Server, error) {
 	s.queueSlots.Store(int64(cfg.QueueDepth))
 	// Cluster wiring happens in two steps: identity (the ID prefix)
 	// must exist before journal replay mints any job, while the
-	// heartbeat/steal loops start only once the server can actually
-	// execute work, at the bottom of this constructor.
+	// heartbeat loop starts only once the server can actually execute
+	// work, at the bottom of this constructor.
 	if cfg.Cluster != nil {
 		cc := *cfg.Cluster
 		if cc.Logger == nil {
@@ -269,12 +266,6 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.cluster = cl
 		s.idPrefix = cc.NodeID + "."
-		s.stealThreshold = cc.StealThreshold
-		s.stealLease = cc.StealLease
-		if s.stealLease <= 0 {
-			s.stealLease = 30 * time.Second
-		}
-		s.stolen = make(map[string]*stolenLease)
 	}
 	for i := range s.admit {
 		s.admit[i].byHash = make(map[string]*Job)
@@ -313,7 +304,6 @@ func NewServer(cfg Config) (*Server, error) {
 	go s.probeLoop()
 	if s.cluster != nil {
 		s.cluster.Start()
-		go s.stolenReaper()
 	}
 	return s, nil
 }
@@ -733,10 +723,7 @@ func (s *Server) dropInflight(j *Job) {
 // runSpec executes one canonical spec with a private collector and
 // renders its byte-stable report. hook receives progress events (nil
 // discards them); the returned trace is the Chrome artifact when the
-// spec asked for one. It is the execution core shared by the local
-// worker path (execute) and the stolen-job path (RunStolen) — both
-// must produce the identical bytes for a given spec, which is the
-// invariant that lets a stolen report commit into the victim's cache.
+// spec asked for one.
 func (s *Server) runSpec(ctx context.Context, can CanonicalJob, hook func(telemetry.ProgressEvent)) (report, trace []byte, err error) {
 	opts := can.Opts
 	opts.Ctx = ctx
@@ -885,11 +872,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.admitMu.Unlock()
 		close(s.probeStop)
 		if s.cluster != nil {
-			// Stop heartbeating and stealing before waiting on workers:
-			// peers see the drain via their next failed beat (or the
-			// Draining flag gossiped just before), and jobs still out on
-			// steal leases keep their WAL records live — a commit that
-			// never arrives replays on restart, same as a crash.
+			// Stop heartbeating before waiting on workers: peers see
+			// the drain via their next failed beat (or the Draining
+			// flag gossiped just before).
 			s.cluster.Stop()
 		}
 

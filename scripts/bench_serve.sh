@@ -9,11 +9,11 @@
 # aggregates.
 #
 # After the single-node run, a second phase boots a 3-node coltd
-# fleet (static -peers, work stealing on) and drives it with
-# coltload's -addrs round-robin; that summary — with its per-node
-# goodput/p99 and proxy/peer-fill/steal counters — lands under the
-# "cluster" key of BENCH_serve.json, so the single-node trajectory
-# fields stay comparable across PRs.
+# fleet (static -peers) and drives it with coltload's -addrs
+# round-robin; that summary — with its per-node goodput/p99 and
+# proxy/peer-fill counters — lands under the "cluster" key of
+# BENCH_serve.json, so the single-node trajectory fields stay
+# comparable across PRs.
 #
 # Usage: scripts/bench_serve.sh [duration]
 #   duration           measured window (default 8s; CI smoke uses 2s)
@@ -92,8 +92,7 @@ u1="http://127.0.0.1:$1"; u2="http://127.0.0.1:$2"; u3="http://127.0.0.1:$3"
 boot() { # boot <id> <port> <peers>
     "$work/coltd" -node-id "$1" -addr "127.0.0.1:$2" -peers "$3" \
         -cache-dir "$work/cache-$1" -workers 2 -queue 64 \
-        -steal-threshold 4 -heartbeat-interval 100ms \
-        -log-level warn >"$work/$1.log" 2>&1 &
+        -heartbeat-interval 100ms -log-level warn >"$work/$1.log" 2>&1 &
 }
 boot n1 "$1" "n2=$u2,n3=$u3"; pid1=$!
 boot n2 "$2" "n1=$u1,n3=$u3"; pid2=$!

@@ -75,8 +75,8 @@ echo "cluster-smoke: ports $p1 $p2 $p3"
 
 boot() { # boot <id> <port> <peers>
     "$work/coltd" -node-id "$1" -addr "127.0.0.1:$2" -peers "$3" \
-        -cache-dir "$work/cache-$1" -steal-threshold 2 \
-        -heartbeat-interval 100ms -log-level warn >"$work/$1.log" 2>&1 &
+        -cache-dir "$work/cache-$1" -heartbeat-interval 100ms \
+        -log-level warn >"$work/$1.log" 2>&1 &
 }
 boot n1 "$p1" "n2=$u2,n3=$u3"; pid1=$!
 boot n2 "$p2" "n1=$u1,n3=$u3"; pid2=$!
