@@ -32,11 +32,11 @@ test:
 # detector: concurrency bugs in the experiment engine show up here.
 # The telemetry determinism tests ride along — TraceSet/Reporter are
 # fed concurrently from all workers. The serving daemon, its disk
-# fault plane, the metrics registry and the cluster layer's
-# heartbeat loop run whole.
+# fault plane, the metrics registry, the cluster layer's heartbeat
+# loop and the cache package's shared lane pools run whole.
 race:
 	$(GO) test -race ./internal/sched ./internal/experiments -run 'Parallel|GoldenHistograms|TraceEvents'
-	$(GO) test -race -count=1 ./internal/server ./internal/server/faultfs ./internal/obs ./internal/cluster
+	$(GO) test -race -count=1 ./internal/server ./internal/server/faultfs ./internal/obs ./internal/cluster ./internal/cache
 
 # Golden-run regression diff: re-runs the golden experiment subset and
 # byte-compares its metrics JSON against internal/experiments/testdata/
@@ -109,8 +109,9 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # Statement-coverage gate: each package listed in .coverage-floor (the
-# observability stack, the OS memory model, the cluster layer and the
-# fault core) must meet its checked-in minimum.
+# observability stack, the OS memory model, the cluster layer, the
+# fault core, the page table and the data caches) must meet its
+# checked-in minimum.
 cover:
 	@set -e; \
 	while read -r pkg floor; do \

@@ -15,11 +15,19 @@
 // (every data reference and every PTE fetch of every TLB variant
 // lands here), so its probe cost multiplies across millions of
 // references.
+//
+// Building the lanes is also a fixed cost of every simulation job:
+// each variant's 4 MB LLC alone is 65536 metadata words. An empty
+// line is therefore the zero word, and a level takes its lane from a
+// per-size pool (Release hands it back), so a job's levels reuse the
+// lanes of the job before and pay only a clear.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
 
 	"colt/internal/arch"
 )
@@ -52,27 +60,54 @@ type Stats struct {
 }
 
 // Line-metadata encoding. Each line is one uint64 word in the fused
-// meta lane: the low half holds the 31-bit tag plus the dirty bit, the
-// high half the LRU recency tick, with recency 0 reserved to mean
-// "never filled", i.e. invalid — lines are only ever filled, never
-// invalidated, so the encoding is stable. Folding valid into recency
-// and dirty into the tag removes every other lane: a probe is a single
-// load and mask per way, a hit's recency update a single store, and
-// the whole metadata footprint is 8 bytes per line — which is what
-// matters when several variants' multi-megabyte LLCs thrash the host
-// cache.
+// meta lane: the low half holds the line's tag plus one in its low 31
+// bits and the dirty bit above them, the high half the LRU recency
+// tick, with recency 0 reserved to mean "never filled", i.e. invalid —
+// lines are only ever filled, never invalidated, so the encoding is
+// stable. An empty line is the zero word: its stored tag 0 matches no
+// real line (they store tag+1 ≥ 1), so a hit scan needs no separate
+// valid check and a fresh lane is just a cleared one. Folding valid
+// into recency and dirty into the tag removes every other lane: a
+// probe is a single load and mask per way, a hit's recency update a
+// single store, and the whole metadata footprint is 8 bytes per line —
+// which is what matters when several variants' multi-megabyte LLCs
+// thrash the host cache.
 const (
 	dirtyBit uint32 = 1 << 31
 	tagMask  uint32 = dirtyBit - 1
-	// invalidTag is the reserved all-ones 31-bit tag an empty line
-	// holds, so a hit scan needs no separate valid check: Access
-	// guards that no real address ever produces it.
-	invalidTag uint32 = tagMask
 	// maxTick is the renormalization threshold: when the 32-bit LRU
 	// clock would reach it, ticks are compressed rank-preservingly so
 	// exact-LRU ordering survives arbitrarily long runs.
 	maxTick uint32 = ^uint32(0) - 1
 )
+
+// lanes pools metadata lanes by size: lanes[k] holds lanes of 1<<k
+// lines (the paper's levels have 512, 4096 and 65536). New takes one
+// and clears it; a pool miss, or a line count that is not a power of
+// two, allocates. Every lane is fully cleared before use, so whether a
+// lane came from the pool never changes what a level computes.
+var lanes [bits.UintSize]sync.Pool
+
+// lanePool returns the pool of n-line lanes, or nil when n is not a
+// power of two.
+func lanePool(n int) *sync.Pool {
+	if n&(n-1) != 0 {
+		return nil
+	}
+	return &lanes[bits.TrailingZeros(uint(n))]
+}
+
+// takeLane returns a zeroed lane of n lines.
+func takeLane(n int) *[]uint64 {
+	if p := lanePool(n); p != nil {
+		if lane, _ := p.Get().(*[]uint64); lane != nil {
+			clear(*lane)
+			return lane
+		}
+	}
+	lane := make([]uint64, n)
+	return &lane
+}
 
 // Cache is one set-associative level backed by a lower Level. Line
 // metadata lives in one fused lane, blocked by set: ways tag words
@@ -88,8 +123,10 @@ type Cache struct {
 	// meta holds, for each set s, the block meta[s*ways : (s+1)*ways]:
 	// one tag|dirty|recency word per way, so a probe's tag scan, its
 	// hit-path recency update, and the miss path's victim scan all
-	// touch the same adjacent words.
+	// touch the same adjacent words. lane is the pooled handle meta
+	// came from; Release returns it and nils both.
 	meta []uint64
+	lane *[]uint64
 
 	next Level
 	// Devirtualized next-level pointers: the common chain is
@@ -117,17 +154,16 @@ func New(cfg Config, next Level) *Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, sets))
 	}
+	lane := takeLane(linesTotal)
 	c := &Cache{
 		cfg:      cfg,
 		sets:     sets,
 		setShift: uintLog2(sets),
 		ways:     cfg.Ways,
 		hitLat:   cfg.HitLatency,
-		meta:     make([]uint64, linesTotal),
+		meta:     *lane,
+		lane:     lane,
 		next:     next,
-	}
-	for j := range c.meta {
-		c.meta[j] = uint64(invalidTag)
 	}
 	switch n := next.(type) {
 	case *Cache:
@@ -136,6 +172,21 @@ func New(cfg Config, next Level) *Cache {
 		c.nextMem = n
 	}
 	return c
+}
+
+// Release returns the level's metadata lane to the pool for the next
+// level of its size. The level is unusable afterwards: its lane is
+// gone, so a later Access panics (slicing the nil lane) instead of
+// reading a lane another level now owns. Stats stays readable, and a
+// second Release is a no-op.
+func (c *Cache) Release() {
+	if c.lane == nil {
+		return
+	}
+	if p := lanePool(len(*c.lane)); p != nil {
+		p.Put(c.lane)
+	}
+	c.meta, c.lane = nil, nil
 }
 
 // Name returns the level's configured name.
@@ -175,17 +226,17 @@ func (c *Cache) Access(addr arch.PAddr, write bool) int {
 	lineNo := addr.Line()
 	set := int(lineNo) & (c.sets - 1)
 	fullTag := lineNo >> c.setShift
-	if fullTag >= uint64(invalidTag) {
+	if fullTag >= uint64(tagMask) {
 		panic(fmt.Sprintf("cache %s: physical address %#x exceeds the 31-bit tag field", c.cfg.Name, uint64(addr)))
 	}
-	tag := uint32(fullTag)
+	tag := uint32(fullTag) + 1 // stored form: 0 is the empty line
 	block := set * c.ways
 
 	// Hit scan: one load and masked compare per way over the set's
-	// contiguous metadata words (invalid lines hold the reserved
-	// invalidTag); a hit folds its recency update and dirty-bit set
-	// into a single store. Victim selection is deferred to the miss
-	// path so hits pay nothing for it.
+	// contiguous metadata words (invalid lines hold the zero word,
+	// whose stored tag no address produces); a hit folds its recency
+	// update and dirty-bit set into a single store. Victim selection
+	// is deferred to the miss path so hits pay nothing for it.
 	lane := c.meta[block : block+c.ways]
 	for j := range lane {
 		if w := lane[j]; uint32(w)&tagMask == tag {
@@ -232,7 +283,7 @@ func (c *Cache) miss(addr arch.PAddr, write bool, block, set int, tag uint32) in
 			c.stats.Writebacks++
 			// Writebacks happen off the critical path; count but do not
 			// add latency.
-			wbAddr := arch.PAddr((uint64(vt&tagMask)<<c.setShift | uint64(set)) * arch.CacheLineSize)
+			wbAddr := arch.PAddr((uint64(vt&tagMask-1)<<c.setShift | uint64(set)) * arch.CacheLineSize)
 			c.fill(wbAddr, true)
 		}
 	}
@@ -314,6 +365,14 @@ func DefaultHierarchy() *Hierarchy {
 	l2 := New(l2Config(), llc)
 	l1 := New(l1Config(), l2)
 	return &Hierarchy{L1: l1, L2: l2, LLC: llc, Mem: mem}
+}
+
+// Release returns every level's metadata lane to the pool (see
+// (*Cache).Release); the hierarchy is unusable afterwards.
+func (h *Hierarchy) Release() {
+	h.L1.Release()
+	h.L2.Release()
+	h.LLC.Release()
 }
 
 // DataAccess services a demand data reference from the core (enters at

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math/rand"
 	"testing"
 
 	"colt/internal/arch"
@@ -152,41 +151,5 @@ func TestDistinctSetsNoConflict(t *testing.T) {
 	}
 	if c.Stats().Hits != before+8 {
 		t.Fatalf("hits = %d, want %d", c.Stats().Hits, before+8)
-	}
-}
-
-// TestPropertyVsReferenceModel checks hit/miss decisions against an
-// exhaustive reference: a map from set to the list of resident tags
-// maintained with exact LRU.
-func TestPropertyVsReferenceModel(t *testing.T) {
-	const sets, ways = 4, 2
-	c := New(Config{Name: "ref", SizeBytes: sets * ways * arch.CacheLineSize, Ways: ways, HitLatency: 1}, &Memory{Latency: 10})
-	type refSet struct{ tags []uint64 } // MRU first
-	ref := make([]refSet, sets)
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 50000; i++ {
-		line := uint64(rng.Intn(64))
-		addr := arch.PAddr(line * arch.CacheLineSize)
-		set := int(line) % sets
-		tag := line / sets
-		// Reference decision.
-		hit := false
-		rs := &ref[set]
-		for j, tg := range rs.tags {
-			if tg == tag {
-				hit = true
-				rs.tags = append(rs.tags[:j], rs.tags[j+1:]...)
-				break
-			}
-		}
-		rs.tags = append([]uint64{tag}, rs.tags...)
-		if len(rs.tags) > ways {
-			rs.tags = rs.tags[:ways]
-		}
-		lat := c.Access(addr, false)
-		gotHit := lat == 1
-		if gotHit != hit {
-			t.Fatalf("op %d addr %d: model hit=%v, reference hit=%v", i, addr, gotHit, hit)
-		}
 	}
 }

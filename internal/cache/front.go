@@ -50,6 +50,13 @@ func NewFront() *Front {
 	return f
 }
 
+// Release returns both levels' metadata lanes to the pool (see
+// (*Cache).Release); the front is unusable afterwards.
+func (f *Front) Release() {
+	f.L1.Release()
+	f.L2.Release()
+}
+
 // DataAccess services one demand reference through the shared L1/L2
 // and returns the latency accumulated down to L2, the LLC-bound
 // requests the access generated (valid until the next call), and

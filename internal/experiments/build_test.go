@@ -36,19 +36,22 @@ func TestSettleReachesFixpoint(t *testing.T) {
 // BenchmarkBuildSystem times the OS-model build of the golden slice:
 // the 14 benchmarks under both compacting setups, each booted, churned,
 // settled and loaded with its workload through newBenchSim with the
-// four standard variants attached. It is the in-process A/B harness for
-// build changes (`go test ./internal/experiments -run '^$' -bench
-// BuildSystem`).
+// four standard variants attached, then released as RunBenchmark
+// releases it. It is the in-process A/B harness for build changes
+// (`go test ./internal/experiments -run '^$' -bench BuildSystem`).
 func BenchmarkBuildSystem(b *testing.B) {
 	opts := GoldenOptions()
 	specs := workload.All()
 	variants := StandardVariants()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, spec := range specs {
 			for _, setup := range compactingSetups {
-				if _, _, err := newBenchSim(spec, setup, opts, variants); err != nil {
+				sim, _, err := newBenchSim(spec, setup, opts, variants)
+				if err != nil {
 					b.Fatal(err)
 				}
+				sim.release()
 			}
 		}
 	}

@@ -723,6 +723,16 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 	return b, master, nil
 }
 
+// release hands every variant's cache hierarchy and the shared front
+// back to the cache package's lane pools, so the next job's levels
+// reuse their metadata lanes; b must not step afterwards.
+func (b *benchSim) release() {
+	b.front.Release()
+	for _, s := range b.sims {
+		s.caches.Release()
+	}
+}
+
 // step executes one reference of the identical stream against every
 // variant. This is the simulator's hot path: in steady state (no
 // swap-in, no OS churn event) it performs zero heap allocations per
@@ -943,6 +953,7 @@ func RunBenchmark(spec workload.Spec, setup SystemSetup, opts Options, variants 
 	if err != nil {
 		return nil, err
 	}
+	defer b.release()
 	churnRNG := master.Stream("midrun-churn")
 	var churnProc *vm.Process
 	if opts.MidRunChurn {

@@ -50,7 +50,9 @@ type node struct {
 	live     int              // number of present children+ptes, for pruning
 }
 
-// Table is one process's page table.
+// Table is one process's page table. It is not safe for concurrent
+// use, reads included: Walk fills the walk memo and every descent
+// updates the leaf hint, so one goroutine owns a Table.
 type Table struct {
 	frames FrameSource
 	root   *node
@@ -71,6 +73,16 @@ type Table struct {
 	// pay nothing.
 	memo    *walkMemo
 	memoGen uint64
+	// Leaf hint: the PT-level node the last full descent reached, and
+	// its 512-page block (vpn >> 9). Faults, frees and migrations visit
+	// consecutive pages, so an operation in the same block as the last
+	// one skips the three-level descent. A PT node leaves its block only
+	// when prune frees it or Release frees the tree, and both clear the
+	// hint, so a hinted node is always the one a descent would reach.
+	// walkTo never consults it: a walk reports every level's entry
+	// address.
+	hint      *node
+	hintBlock arch.VPN
 }
 
 // walkMemoSize is the direct-mapped walk memo's entry count (power of
@@ -81,6 +93,20 @@ type walkMemo struct {
 	vpn [walkMemoSize]arch.VPN
 	gen [walkMemoSize]uint64 // entry valid iff gen matches Table.memoGen
 	res [walkMemoSize]WalkResult
+}
+
+// hinted returns vpn's PT-level node when it is the hinted one, nil
+// otherwise.
+func (t *Table) hinted(vpn arch.VPN) *node {
+	if t.hint != nil && vpn>>bitsPerLevel == t.hintBlock {
+		return t.hint
+	}
+	return nil
+}
+
+// setHint records leaf as the PT-level node of vpn's block.
+func (t *Table) setHint(leaf *node, vpn arch.VPN) {
+	t.hint, t.hintBlock = leaf, vpn>>bitsPerLevel
 }
 
 // dirty invalidates the walk memo; every mutating method calls it
@@ -150,23 +176,9 @@ func (t *Table) Map(vpn arch.VPN, pte arch.PTE) error {
 	if pte.Huge || !pte.Present() {
 		return fmt.Errorf("pagetable: Map requires a present base-page PTE, got %v", pte)
 	}
-	n := t.root
-	for level := 0; level < LeafLevel; level++ {
-		idx := levelIndex(vpn, level)
-		if level == HugeLevel && n.ptes[idx].Present() {
-			return ErrHugeConflict
-		}
-		child := n.children[idx]
-		if child == nil {
-			pfn, err := t.frames.AllocFrame()
-			if err != nil {
-				return fmt.Errorf("pagetable: allocating level-%d table: %w", level+1, err)
-			}
-			child = &node{pfn: pfn}
-			n.children[idx] = child
-			n.live++
-		}
-		n = child
+	n, err := t.ptNode(vpn, "allocating")
+	if err != nil {
+		return err
 	}
 	idx := levelIndex(vpn, LeafLevel)
 	if n.ptes[idx].Present() {
@@ -220,17 +232,30 @@ func (t *Table) MapHuge(baseVPN arch.VPN, pte arch.PTE) error {
 // buddy allocator's sequential drain intact for consecutive faults.
 func (t *Table) Reserve(vpn arch.VPN) error {
 	t.dirty()
+	_, err := t.ptNode(vpn, "reserving")
+	return err
+}
+
+// ptNode returns vpn's PT-level node for Map and Reserve, allocating
+// the interior tables missing on the way (verb names the operation in
+// an allocation error). A block with a PT node holds no huge mapping
+// (MapHuge refuses a slot with a child), so a hinted node needs no
+// huge-conflict check.
+func (t *Table) ptNode(vpn arch.VPN, verb string) (*node, error) {
+	if leaf := t.hinted(vpn); leaf != nil {
+		return leaf, nil
+	}
 	n := t.root
 	for level := 0; level < LeafLevel; level++ {
 		idx := levelIndex(vpn, level)
 		if level == HugeLevel && n.ptes[idx].Present() {
-			return ErrHugeConflict
+			return nil, ErrHugeConflict
 		}
 		child := n.children[idx]
 		if child == nil {
 			pfn, err := t.frames.AllocFrame()
 			if err != nil {
-				return fmt.Errorf("pagetable: reserving level-%d table: %w", level+1, err)
+				return nil, fmt.Errorf("pagetable: %s level-%d table: %w", verb, level+1, err)
 			}
 			child = &node{pfn: pfn}
 			n.children[idx] = child
@@ -238,7 +263,8 @@ func (t *Table) Reserve(vpn arch.VPN) error {
 		}
 		n = child
 	}
-	return nil
+	t.setHint(n, vpn)
+	return n, nil
 }
 
 // leafNode descends toward vpn's leaf without recording the path (and
@@ -246,8 +272,11 @@ func (t *Table) Reserve(vpn arch.VPN) error {
 // simulated memory reference, Remap once per migrated page). It returns
 // the deepest node reached and its level: LeafLevel for a full descent,
 // HugeLevel when a huge PTE or a PMD hole stops the walk, less on an
-// upper hole.
+// upper hole. A hinted block skips the descent.
 func (t *Table) leafNode(vpn arch.VPN) (*node, int) {
+	if leaf := t.hinted(vpn); leaf != nil {
+		return leaf, LeafLevel
+	}
 	n := t.root
 	for level := 0; level < LeafLevel; level++ {
 		idx := levelIndex(vpn, level)
@@ -259,6 +288,7 @@ func (t *Table) leafNode(vpn arch.VPN) (*node, int) {
 		}
 		n = n.children[idx]
 	}
+	t.setHint(n, vpn)
 	return n, LeafLevel
 }
 
@@ -280,6 +310,7 @@ func (t *Table) path(vpn arch.VPN, nodes *[Levels]*node) int {
 		n = n.children[idx]
 	}
 	nodes[LeafLevel] = n
+	t.setHint(n, vpn)
 	return Levels
 }
 
@@ -421,15 +452,23 @@ func lineFromLeaf(leaf *node, vpn arch.VPN, group *[arch.PTEsPerLine]arch.Transl
 	return entryAddr(leaf, groupStart), true
 }
 
-// Unmap removes the 4 KB mapping for vpn, pruning emptied tables.
+// Unmap removes the 4 KB mapping for vpn, pruning emptied tables. When
+// vpn's leaf is hinted and keeps another live entry, nothing can prune,
+// so the entry is cleared in place without recording the path.
 func (t *Table) Unmap(vpn arch.VPN) error {
 	t.dirty()
+	idx := levelIndex(vpn, LeafLevel)
+	if leaf := t.hinted(vpn); leaf != nil && leaf.live > 1 && leaf.ptes[idx].Present() {
+		leaf.ptes[idx] = arch.PTE{}
+		leaf.live--
+		t.mappedBase--
+		return nil
+	}
 	var nodes [Levels]*node
 	if t.path(vpn, &nodes) != Levels {
 		return ErrNotMapped
 	}
 	leaf := nodes[Levels-1]
-	idx := levelIndex(vpn, LeafLevel)
 	if !leaf.ptes[idx].Present() {
 		return ErrNotMapped
 	}
@@ -459,13 +498,16 @@ func (t *Table) UnmapHuge(baseVPN arch.VPN) error {
 	return nil
 }
 
-// prune frees table nodes that became empty, bottom-up (never the root).
+// prune frees table nodes that became empty, bottom-up (never the
+// root). Freeing any node drops the leaf hint, which may be that node
+// or lie under it.
 func (t *Table) prune(nodes []*node, vpn arch.VPN) {
 	for level := len(nodes) - 1; level > 0; level-- {
 		n := nodes[level]
 		if n.live > 0 {
 			return
 		}
+		t.hint = nil
 		parent := nodes[level-1]
 		idx := levelIndex(vpn, level-1)
 		parent.children[idx] = nil
@@ -559,7 +601,7 @@ func (t *Table) each(n *node, level int, prefix arch.VPN, fn func(arch.Translati
 func (t *Table) Release() {
 	t.dirty()
 	t.release(t.root, 0)
-	t.root = nil
+	t.root, t.hint = nil, nil
 }
 
 func (t *Table) release(n *node, level int) {

@@ -88,6 +88,9 @@ type Workload struct {
 	hot  []arch.VPN
 	cold []arch.VPN
 	r    *rng.RNG
+	// hotZipf is the hot set's skewed index distribution, built once
+	// the hot set's size is known.
+	hotZipf rng.ZipfDist
 
 	burstLeft int
 	cur       arch.VPN
@@ -180,6 +183,7 @@ func Build(spec Spec, proc *vm.Process, r *rng.RNG) (*Workload, error) {
 	if len(w.hot) == 0 {
 		return nil, fmt.Errorf("workload %s: empty hot set", spec.Name)
 	}
+	w.hotZipf = rng.NewZipfDist(len(w.hot), spec.ZipfS)
 	if len(w.cold) == 0 {
 		// Degenerate but legal: treat the hot set as the cold set too.
 		w.cold = w.hot
@@ -222,7 +226,7 @@ func (w *Workload) Next() (arch.VAddr, bool, int) {
 			vpn = w.cold[w.r.Intn(len(w.cold))]
 		}
 	} else {
-		vpn = w.hot[w.r.Zipf(len(w.hot), spec.ZipfS)]
+		vpn = w.hot[w.hotZipf.Draw(w.r)]
 	}
 	if spec.BurstMean > 1 {
 		w.burstLeft = w.r.IntRange(0, 2*(spec.BurstMean-1))
