@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt tidy vet build test race golden golden-update bench-parallel bench-hotpath bench-serve bench-smoke chaos chaos-serve fuzz-buddy cover serve-smoke cluster-smoke
+.PHONY: check fmt tidy vet build test race golden golden-update bench-parallel bench-smoke chaos chaos-serve fuzz-buddy cover serve-smoke cluster-smoke
 
 check: fmt tidy vet build test race golden
 
@@ -54,25 +54,11 @@ golden-update:
 bench-parallel:
 	$(GO) test -bench ParallelFig18 -cpu 1,4,8 -benchtime 3x -run '^$$' .
 
-# Hot-path trajectory: run the refs/sec benchmark and rewrite
-# BENCH_hotpath.json at the repo root (see EXPERIMENTS.md for the
-# schema and the cross-PR measurement methodology).
-bench-hotpath:
-	./scripts/bench_hotpath.sh
-
 # The repository benchmark (bench/) is a Go module of its own, so the
 # root `go test ./...` never compiles it. Its smoke test runs every
 # workload briefly against the current tree (~12 s).
 bench-smoke:
 	cd bench && $(GO) test -count=1 .
-
-# Serving-path trajectory: drive a self-hosted server with coltload's
-# zipf-skewed closed loop and rewrite BENCH_serve.json at the repo
-# root (see EXPERIMENTS.md for the schema and the cross-PR A/B
-# methodology). CI runs a 2s smoke (`make bench-serve DURATION=2s`).
-DURATION ?= 8s
-bench-serve:
-	./scripts/bench_serve.sh $(DURATION)
 
 # Chaos soak: fault injection at every site with the invariant auditors
 # armed — injected failures must surface as structured records, the
@@ -110,8 +96,8 @@ cluster-smoke:
 
 # Statement-coverage gate: each package listed in .coverage-floor (the
 # observability stack, the OS memory model, the cluster layer, the
-# fault core, the page table and the data caches) must meet its
-# checked-in minimum.
+# fault core, the page table, the data caches, and the load generator
+# with its coltload command) must meet its checked-in minimum.
 cover:
 	@set -e; \
 	while read -r pkg floor; do \

@@ -175,10 +175,10 @@ func BenchmarkAblationAllL2Fill(b *testing.B) {
 // ---------------------------------------------------------------------
 
 // BenchmarkHotPath meters the per-reference step — the loop every
-// served byte comes out of — as references per second on the standing
-// fixture (Mcf × THS-on × four standard variants). scripts/
-// bench_hotpath.sh turns its output into BENCH_hotpath.json, the
-// per-PR refs/sec trajectory.
+// served byte comes out of — on the standing fixture (Mcf × THS-on ×
+// four standard variants). It is an in-process A/B harness: run it on
+// two builds, interleaved, on one host. The repository benchmark's
+// sim-long workload (bench/) carries the same loop end to end.
 func BenchmarkHotPath(b *testing.B) {
 	h, err := experiments.NewHotPath()
 	if err != nil {

@@ -1,20 +1,21 @@
-// Command coltload is the serving-path load generator: it drives a
-// coltd daemon with a zipf-skewed stream of job submissions and
-// reports served latency percentiles, goodput, refusal counts, and
-// cache/coalesce hit rates — the BENCH_serve.json trajectory numbers
-// (make bench-serve; EXPERIMENTS.md documents the schema and
-// methodology).
+// Command coltload drives one or more running coltd daemons with a
+// zipf-skewed stream of job submissions and reports served latency
+// percentiles, goodput, refusal counts, cache/coalesce hit rates, the
+// slowest requests' trace IDs, and — against a fleet — a per-node
+// breakdown with each node's scraped coltd_cluster_* counters
+// (EXPERIMENTS.md, "Driving running daemons").
 //
-// Two targets: -addr points it at a running daemon; with no -addr it
-// self-hosts a server in-process on an ephemeral port (the hermetic
-// mode the benchmark script uses, so a bench run measures exactly one
-// build's serving stack). Two loops: closed (default; each of
-// -clients issues its next request when the previous finishes) and
-// open (-rate R dispatches R arrivals/sec regardless of completions).
-// The spec universe is -specs variants of one template spec differing
-// only in seed, with popularity zipf(-zipf-s): item 0 is the hot key.
-// Every sampler is seeded from -seed via internal/rng streams, so a
-// run's request sequences are deterministic.
+// -addrs names the targets: one base URL, or several that submissions
+// round-robin across. Two loops: closed (default; each of -clients
+// issues its next request when the previous finishes) and open (-rate
+// R dispatches R arrivals/sec regardless of completions). The spec
+// universe is -specs variants of one template spec differing only in
+// seed, with popularity zipf(-zipf-s): item 0 is the hot key. Every
+// sampler is seeded from -seed via internal/rng streams, so a run's
+// request sequences are deterministic.
+//
+// coltload is a driver, not a benchmark: the repository benchmark
+// (bench/) is the measurement path for comparing two commits.
 package main
 
 import (
@@ -22,11 +23,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -37,8 +35,7 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", "", "target daemon base URL (e.g. http://127.0.0.1:8077); empty self-hosts a server in-process")
-		addrs    = flag.String("addrs", "", "comma-separated base URLs of a coltd fleet; submissions round-robin across them and the summary gains a per-node breakdown (overrides -addr)")
+		addrs    = flag.String("addrs", "", "comma-separated base URLs of the target daemons (required; e.g. http://127.0.0.1:8077); with several, submissions round-robin across them and the summary gains a per-node breakdown")
 		clients  = flag.Int("clients", 16, "closed-loop concurrency")
 		rate     = flag.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
 		duration = flag.Duration("duration", 5*time.Second, "measured window")
@@ -47,26 +44,14 @@ func main() {
 		zipfS    = flag.Float64("zipf-s", 1.1, "zipf popularity exponent (0 = uniform)")
 		seed     = flag.Uint64("seed", 1, "root seed for the deterministic samplers")
 		expName  = flag.String("experiment", "table1", "experiment submitted by every spec")
-		refs     = flag.Int("refs", 2000, "measured references per spec (small: the bench measures serving, not simulating)")
+		refs     = flag.Int("refs", 2000, "measured references per spec (small keeps the load on serving, not simulating)")
 		prewarm  = flag.Bool("prewarm", true, "submit every spec once before measuring, so the window exercises the cache/coalesce hot paths")
 		poll     = flag.Duration("poll", time.Millisecond, "job-status poll interval")
 		retryMax = flag.Int("retry-max", 4, "503 retries per request before counting it refused (-1 disables)")
 		retryBas = flag.Duration("retry-base", 25*time.Millisecond, "first-retry backoff; doubles per attempt with deterministic jitter")
 		retryCap = flag.Duration("retry-cap", time.Second, "backoff ceiling (also clamps the server's Retry-After hint)")
-		stats    = flag.Duration("stats-poll", 0, "add a monitoring client that GETs /v1/stats on this period (0 = off)")
 		outPath  = flag.String("out", "", "write the JSON summary to this file (default stdout)")
-		commit   = flag.String("commit", "", "commit hash recorded in the summary")
 		slowestN = flag.Int("slowest", 5, "record the N slowest requests' trace IDs in the summary (0 = off)")
-
-		// Self-host sizing (ignored with -addr).
-		shWorkers = flag.Int("workers", 2, "self-host: concurrent simulations")
-		shQueue   = flag.Int("queue", 64, "self-host: job queue depth")
-		shCache   = flag.String("cache-dir", "", "self-host: cache directory (empty = fresh temp dir)")
-
-		// Pre-PR comparison, filled in by the bench script when a
-		// baseline measurement exists (see EXPERIMENTS.md).
-		preP99     = flag.Float64("prepr-p99-ms", 0, "baseline p99 ms from the pre-PR build (0 = unrecorded)")
-		preGoodput = flag.Float64("prepr-goodput-rps", 0, "baseline goodput from the pre-PR build (0 = unrecorded)")
 	)
 	flag.Parse()
 
@@ -75,20 +60,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	addrList, err := parseAddrs(*addrs, *addr)
+	addrList, err := parseAddrs(*addrs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coltload:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
 	if err := run(config{
-		addr: *addr, addrs: addrList, clients: *clients, rate: *rate, duration: *duration,
+		addrs: addrList, clients: *clients, rate: *rate, duration: *duration,
 		requests: *requests, specs: *specs, zipfS: *zipfS, seed: *seed,
-		experiment: *expName, refs: *refs, prewarm: *prewarm, poll: *poll, statsPoll: *stats,
+		experiment: *expName, refs: *refs, prewarm: *prewarm, poll: *poll,
 		retryMax: *retryMax, retryBase: *retryBas, retryCap: *retryCap,
-		out: *outPath, commit: *commit, slowest: *slowestN,
-		shWorkers: *shWorkers, shQueue: *shQueue, shCache: *shCache,
-		preP99: *preP99, preGoodput: *preGoodput,
+		out: *outPath, slowest: *slowestN,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "coltload:", err)
 		os.Exit(1)
@@ -131,14 +114,10 @@ func validate(clients int, rate float64, duration time.Duration, requests, specs
 	return nil
 }
 
-// parseAddrs expands -addrs into a target list and rejects the
-// ambiguous case of both -addr and -addrs.
-func parseAddrs(addrs, addr string) ([]string, error) {
+// parseAddrs expands -addrs into a target list.
+func parseAddrs(addrs string) ([]string, error) {
 	if addrs == "" {
-		return nil, nil
-	}
-	if addr != "" {
-		return nil, fmt.Errorf("-addr and -addrs are mutually exclusive")
+		return nil, fmt.Errorf("-addrs is required")
 	}
 	var out []string
 	for _, a := range strings.Split(addrs, ",") {
@@ -158,7 +137,6 @@ func parseAddrs(addrs, addr string) ([]string, error) {
 }
 
 type config struct {
-	addr       string
 	addrs      []string
 	clients    int
 	rate       float64
@@ -171,18 +149,11 @@ type config struct {
 	refs       int
 	prewarm    bool
 	poll       time.Duration
-	statsPoll  time.Duration
 	retryMax   int
 	retryBase  time.Duration
 	retryCap   time.Duration
 	out        string
-	commit     string
 	slowest    int
-	shWorkers  int
-	shQueue    int
-	shCache    string
-	preP99     float64
-	preGoodput float64
 }
 
 // slowEntry names one slow-tail request in the summary: the trace ID
@@ -212,90 +183,33 @@ type nodeSummary struct {
 	PeerFillCorrupt float64 `json:"peer_fill_corrupt,omitempty"`
 }
 
-// summary is the BENCH_serve.json schema (EXPERIMENTS.md).
+// summary is the JSON coltload prints (EXPERIMENTS.md, "Driving
+// running daemons").
 type summary struct {
-	P50Ms           float64       `json:"p50_ms"`
-	P99Ms           float64       `json:"p99_ms"`
-	P999Ms          float64       `json:"p999_ms"`
-	GoodputRPS      float64       `json:"goodput_rps"`
-	Requests        int           `json:"requests"`
-	Accepted        int           `json:"accepted"`
-	Refused         int           `json:"refused"`
-	Errors          int           `json:"errors"`
-	Done            int           `json:"done"`
-	Retries         int           `json:"retries"`
-	BackoffMs       float64       `json:"backoff_ms"`
-	CacheHitRate    float64       `json:"cache_hit_rate"`
-	CoalesceRate    float64       `json:"coalesce_rate"`
-	ZipfS           float64       `json:"zipf_s"`
-	Specs           int           `json:"specs"`
-	Clients         int           `json:"clients"`
-	RateRPS         float64       `json:"rate_rps,omitempty"`
-	DurationS       float64       `json:"duration_s"`
-	Mode            string        `json:"mode"`
-	Nodes           []nodeSummary `json:"nodes,omitempty"`
-	Slowest         []slowEntry   `json:"slowest,omitempty"`
-	MetricsSeries   int           `json:"metrics_series,omitempty"`
-	PreprP99Ms      float64       `json:"prepr_p99_ms,omitempty"`
-	PreprGoodputRPS float64       `json:"prepr_goodput_rps,omitempty"`
-	SpeedupGoodput  float64       `json:"speedup_goodput,omitempty"`
-	SpeedupP99      float64       `json:"speedup_p99,omitempty"`
-	Commit          string        `json:"commit"`
+	P50Ms        float64       `json:"p50_ms"`
+	P99Ms        float64       `json:"p99_ms"`
+	P999Ms       float64       `json:"p999_ms"`
+	GoodputRPS   float64       `json:"goodput_rps"`
+	Requests     int           `json:"requests"`
+	Accepted     int           `json:"accepted"`
+	Refused      int           `json:"refused"`
+	Errors       int           `json:"errors"`
+	Done         int           `json:"done"`
+	Retries      int           `json:"retries"`
+	BackoffMs    float64       `json:"backoff_ms"`
+	CacheHitRate float64       `json:"cache_hit_rate"`
+	CoalesceRate float64       `json:"coalesce_rate"`
+	ZipfS        float64       `json:"zipf_s"`
+	Specs        int           `json:"specs"`
+	Clients      int           `json:"clients"`
+	RateRPS      float64       `json:"rate_rps,omitempty"`
+	DurationS    float64       `json:"duration_s"`
+	Mode         string        `json:"mode"`
+	Nodes        []nodeSummary `json:"nodes,omitempty"`
+	Slowest      []slowEntry   `json:"slowest,omitempty"`
 }
 
 func run(cfg config) error {
-	base := cfg.addr
-	if base == "" && len(cfg.addrs) > 0 {
-		base = cfg.addrs[0] // metrics scrape + self-host suppression
-	}
-	if base == "" {
-		cacheDir := cfg.shCache
-		if cacheDir == "" {
-			dir, err := os.MkdirTemp("", "coltload-cache-")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
-			cacheDir = dir
-		}
-		// The self-hosted bench runs with structured logging enabled —
-		// the A/B numbers must price in the observability the daemon
-		// ships with — but the stream goes to a buffered file (slog's
-		// handler serializes writes, so one bufio.Writer is safe), the
-		// way a production log shipper receives it: the bench pays for
-		// encoding every line, not a synchronous syscall per admission.
-		logPath := filepath.Join(cacheDir, "coltd.log.jsonl")
-		logFile, err := os.Create(logPath)
-		if err != nil {
-			return err
-		}
-		logBuf := bufio.NewWriterSize(logFile, 1<<20)
-		defer func() {
-			logBuf.Flush()
-			logFile.Close()
-		}()
-		s, err := server.NewServer(server.Config{
-			CacheDir:   cacheDir,
-			QueueDepth: cfg.shQueue,
-			Workers:    cfg.shWorkers,
-			Logger:     slog.New(slog.NewJSONHandler(logBuf, nil)),
-		})
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{Handler: s.Handler()}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-		base = "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "coltload: self-hosting on %s (workers=%d queue=%d)\n",
-			base, cfg.shWorkers, cfg.shQueue)
-	}
-
 	mode := "closed"
 	if cfg.rate > 0 {
 		mode = "open"
@@ -308,21 +222,19 @@ func run(cfg config) error {
 		mode, cfg.clients, cfg.specs, cfg.zipfS, cfg.duration, cfg.prewarm)
 
 	res, err := loadgen.Run(loadgen.Config{
-		BaseURL:       base,
-		BaseURLs:      cfg.addrs,
-		Clients:       cfg.clients,
-		Rate:          cfg.rate,
-		Duration:      cfg.duration,
-		MaxRequests:   cfg.requests,
-		Specs:         cfg.specs,
-		ZipfS:         cfg.zipfS,
-		Seed:          cfg.seed,
-		PollInterval:  cfg.poll,
-		Prewarm:       cfg.prewarm,
-		StatsInterval: cfg.statsPoll,
-		RetryMax:      cfg.retryMax,
-		RetryBase:     cfg.retryBase,
-		RetryCap:      cfg.retryCap,
+		BaseURLs:     cfg.addrs,
+		Clients:      cfg.clients,
+		Rate:         cfg.rate,
+		Duration:     cfg.duration,
+		MaxRequests:  cfg.requests,
+		Specs:        cfg.specs,
+		ZipfS:        cfg.zipfS,
+		Seed:         cfg.seed,
+		PollInterval: cfg.poll,
+		Prewarm:      cfg.prewarm,
+		RetryMax:     cfg.retryMax,
+		RetryBase:    cfg.retryBase,
+		RetryCap:     cfg.retryCap,
 		Template: server.Spec{
 			Experiment: cfg.experiment,
 			Quick:      true,
@@ -355,7 +267,6 @@ func run(cfg config) error {
 		RateRPS:      cfg.rate,
 		DurationS:    round2(res.Elapsed.Seconds()),
 		Mode:         mode,
-		Commit:       cfg.commit,
 	}
 	for _, s := range res.SlowestN(cfg.slowest) {
 		sum.Slowest = append(sum.Slowest, slowEntry{TraceID: s.TraceID, Ms: ms(s.Latency)})
@@ -382,25 +293,6 @@ func run(cfg config) error {
 		}
 		sum.Nodes = append(sum.Nodes, ns)
 	}
-	series, err := scrapeMetrics(base)
-	if err != nil {
-		// Against an external -addr target the daemon may predate
-		// /metrics; self-hosted, a bad exposition is a real failure.
-		if cfg.addr == "" {
-			return fmt.Errorf("scraping %s/metrics: %w", base, err)
-		}
-		fmt.Fprintf(os.Stderr, "coltload: warning: scraping %s/metrics: %v\n", base, err)
-	} else {
-		sum.MetricsSeries = series
-	}
-	if cfg.preP99 > 0 && sum.P99Ms > 0 {
-		sum.PreprP99Ms = cfg.preP99
-		sum.SpeedupP99 = round2(cfg.preP99 / sum.P99Ms)
-	}
-	if cfg.preGoodput > 0 && sum.GoodputRPS > 0 {
-		sum.PreprGoodputRPS = cfg.preGoodput
-		sum.SpeedupGoodput = round2(sum.GoodputRPS / cfg.preGoodput)
-	}
 	b, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
 		return err
@@ -415,50 +307,6 @@ func run(cfg config) error {
 	}
 	fmt.Fprintf(os.Stderr, "coltload: wrote %s\n%s", cfg.out, b)
 	return nil
-}
-
-// scrapeMetrics fetches base/metrics and runs a light validity pass
-// over the exposition: every non-comment line must look like
-// `name{labels} value` with a parseable value, and the page must
-// carry coltd's own series. Returns the coltd_* sample count.
-func scrapeMetrics(base string) (series int, err error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("status %s", resp.Status)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			return 0, fmt.Errorf("malformed sample line %q", line)
-		}
-		name := line[:sp]
-		if c := name[0]; !(c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z') {
-			return 0, fmt.Errorf("malformed metric name in %q", line)
-		}
-		if _, perr := strconv.ParseFloat(line[sp+1:], 64); perr != nil {
-			return 0, fmt.Errorf("malformed sample value in %q: %v", line, perr)
-		}
-		if strings.HasPrefix(name, "coltd_") {
-			series++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	if series == 0 {
-		return 0, fmt.Errorf("exposition carries no coltd_* series")
-	}
-	return series, nil
 }
 
 // scrapeClusterCounters fetches one node's /metrics and returns its

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"colt/internal/metrics"
@@ -75,8 +76,25 @@ func TestMapJobsAllCanceledReturnsError(t *testing.T) {
 	}
 }
 
+// loopCanceledCtx is a context whose Err is nil on its first call and
+// context.Canceled from the second on. A driver that checks only once,
+// before its reference loop, runs to completion under it; only a check
+// inside the loop returns the error.
+type loopCanceledCtx struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *loopCanceledCtx) Err() error {
+	if c.calls.Add(1) < 2 {
+		return nil
+	}
+	return context.Canceled
+}
+
 // TestRunBenchmarkHonorsCancellation: an in-flight simulation aborts
-// at a cancellation checkpoint instead of running to completion.
+// at a cancellation checkpoint instead of running to completion — in
+// every driver with a reference loop, not only RunBenchmark.
 func TestRunBenchmarkHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -88,6 +106,21 @@ func TestRunBenchmarkHonorsCancellation(t *testing.T) {
 	}
 	if _, err := RunContiguity(spec, SetupTHSOnNormal, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContiguity err = %v, want context.Canceled", err)
+	}
+
+	inLoop := func() Options {
+		o := QuickOptions()
+		o.Ctx = &loopCanceledCtx{Context: context.Background()}
+		return o
+	}
+	if _, err := RunBenchmark(spec, SetupTHSOnNormal, inLoop(), StandardVariants()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunBenchmark in-loop err = %v, want context.Canceled", err)
+	}
+	if _, err := runVirtualized(spec, inLoop()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("runVirtualized err = %v, want context.Canceled", err)
+	}
+	if _, err := ContiguityTimeline(spec, SetupTHSOnNormal, inLoop(), 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ContiguityTimeline err = %v, want context.Canceled", err)
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 
 // HotPath is the standing hot-loop benchmark fixture: Mcf under "THS
 // on, normal compaction" with the standard four variants at
-// QuickOptions scale, warmed up and ready to step. It pins the refs/sec
-// trajectory tracked in BENCH_hotpath.json: BenchmarkHotPath (repo
-// root) drives Steps, which runs exactly the per-reference step
-// RunBenchmark runs — the fixture exists so the benchmark can meter
-// steady-state stepping without re-paying system build and warmup per
-// measurement.
+// QuickOptions scale, warmed up and ready to step. BenchmarkHotPath
+// (repo root) drives Steps, which runs exactly the per-reference step
+// RunBenchmark runs — the fixture exists so an in-process A/B of two
+// builds can meter steady-state stepping without re-paying system
+// build and warmup per measurement. The end-to-end number for the same
+// loop is the repository benchmark's sim-long pass time (bench/).
 type HotPath struct {
 	b   *benchSim
 	ref int

@@ -78,6 +78,11 @@ func ContiguityTimeline(spec workload.Spec, setup SystemSetup, opts Options, sam
 	done := 0
 	for s := 1; s < samples; s++ {
 		for i := 0; i < slice; i++ {
+			if done%ctxCheckEvery == 0 {
+				if err := opts.canceled(); err != nil {
+					return nil, fmt.Errorf("%s: %w", spec.Name, err)
+				}
+			}
 			if err := plane.Fail(fault.SiteTraceCorrupt); err != nil {
 				return nil, fmt.Errorf("%s: decoding trace record %d: %w", spec.Name, done, err)
 			}

@@ -183,6 +183,11 @@ func runVirtualized(spec workload.Spec, opts Options) ([2]VariantResult, error) 
 	var instructions uint64
 	refs := opts.Warmup + opts.Refs
 	for i := 0; i < refs; i++ {
+		if i%ctxCheckEvery == 0 {
+			if err := opts.canceled(); err != nil {
+				return out, fmt.Errorf("%s/virt: %w", spec.Name, err)
+			}
+		}
 		if err := plane.Fail(fault.SiteTraceCorrupt); err != nil {
 			return out, fmt.Errorf("%s/virt: decoding trace record %d: %w", spec.Name, i, err)
 		}

@@ -16,15 +16,15 @@ import (
 	"colt/internal/server"
 )
 
-// Config shapes one load-generation run against a coltd base URL.
+// Config shapes one load-generation run against running coltd
+// daemons.
 type Config struct {
-	// BaseURL is the daemon under test, e.g. "http://127.0.0.1:8077".
-	BaseURL string
-	// BaseURLs, when non-empty, overrides BaseURL with several
-	// daemons: requests round-robin across them, and each request's
-	// whole lifecycle (submit, retries, status polls) stays on the
-	// target it drew — the way a DNS-round-robin client would behave
-	// against a coltd fleet. The Result then carries a per-target
+	// BaseURLs names the daemons under test, e.g.
+	// "http://127.0.0.1:8077"; at least one is required. Requests
+	// round-robin across them, and each request's whole lifecycle
+	// (submit, retries, status polls) stays on the target it drew —
+	// the way a DNS-round-robin client would behave against a coltd
+	// fleet. With more than one, the Result carries a per-target
 	// breakdown.
 	BaseURLs []string
 	// Clients is the closed-loop concurrency (and the worker pool that
@@ -58,11 +58,6 @@ type Config struct {
 	// universe to be fully cached before the measured window starts —
 	// the run then measures pure serving paths, not simulation time.
 	Prewarm bool
-	// StatsInterval, when > 0, adds a monitoring client that GETs
-	// /v1/stats on that period throughout the window — the traffic
-	// shape that exposes a stats path which holds admission locks
-	// while it aggregates.
-	StatsInterval time.Duration
 	// RetryMax bounds how many times one request retries a 503 before
 	// counting it refused (default 4; negative disables retries). 429
 	// is never retried — the spec itself is over the server's ceiling
@@ -77,10 +72,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.BaseURLs) == 0 {
-		c.BaseURLs = []string{c.BaseURL}
-	}
-	c.BaseURL = c.BaseURLs[0]
 	if c.Clients == 0 {
 		c.Clients = 16
 	}
@@ -230,6 +221,9 @@ func (r *runner) recordTarget(idx int, rec *Recorder) {
 
 // Run executes one load-generation run and aggregates the results.
 func Run(cfg Config) (Result, error) {
+	if len(cfg.BaseURLs) == 0 {
+		return Result{}, fmt.Errorf("loadgen: no target base URLs")
+	}
 	cfg = cfg.withDefaults()
 	bodies := make([][]byte, cfg.Specs)
 	for k := range bodies {
@@ -280,12 +274,6 @@ func Run(cfg Config) (Result, error) {
 	// polls abandoned at the hard context deadline count as errors.
 	ctx, cancel := context.WithDeadline(context.Background(), deadline.Add(30*time.Second))
 	defer cancel()
-
-	if cfg.StatsInterval > 0 {
-		pollCtx, stopPoll := context.WithDeadline(context.Background(), deadline)
-		defer stopPoll()
-		go r.statsPoller(pollCtx)
-	}
 
 	recs := make([]*Recorder, cfg.Clients)
 	var wg sync.WaitGroup
@@ -375,30 +363,6 @@ func (r *runner) openLoop(ctx context.Context, deadline time.Time, recs []*Recor
 		case <-ctx.Done():
 			return
 		}
-	}
-}
-
-// statsPoller is the monitoring client: a steady drip of /v1/stats
-// reads for the length of the window.
-func (r *runner) statsPoller(ctx context.Context) {
-	ticker := time.NewTicker(r.cfg.StatsInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.cfg.BaseURL+"/v1/stats", nil)
-		if err != nil {
-			return
-		}
-		resp, err := r.client.Do(req)
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
 }
 

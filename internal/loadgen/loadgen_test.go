@@ -48,7 +48,7 @@ func newTarget(t *testing.T) *httptest.Server {
 func TestClosedLoopRun(t *testing.T) {
 	ts := newTarget(t)
 	res, err := Run(Config{
-		BaseURL:      ts.URL,
+		BaseURLs:     []string{ts.URL},
 		Clients:      4,
 		Duration:     30 * time.Second, // bounded by MaxRequests below
 		MaxRequests:  300,
@@ -91,7 +91,7 @@ func TestClosedLoopRun(t *testing.T) {
 func TestOpenLoopRun(t *testing.T) {
 	ts := newTarget(t)
 	res, err := Run(Config{
-		BaseURL:      ts.URL,
+		BaseURLs:     []string{ts.URL},
 		Clients:      4,
 		Rate:         500,
 		Duration:     300 * time.Millisecond,
@@ -115,7 +115,7 @@ func TestOpenLoopRun(t *testing.T) {
 func TestPrewarmMakesWindowAllHits(t *testing.T) {
 	ts := newTarget(t)
 	res, err := Run(Config{
-		BaseURL:      ts.URL,
+		BaseURLs:     []string{ts.URL},
 		Clients:      2,
 		Duration:     30 * time.Second,
 		MaxRequests:  100,
@@ -160,7 +160,7 @@ func refusingTarget(t *testing.T, refusals int32) (*httptest.Server, *atomic.Int
 func TestRetriesRecoverFromTransient503(t *testing.T) {
 	ts, posts := refusingTarget(t, 2)
 	res, err := Run(Config{
-		BaseURL:     ts.URL,
+		BaseURLs:    []string{ts.URL},
 		Clients:     1,
 		Duration:    30 * time.Second,
 		MaxRequests: 1,
@@ -189,7 +189,7 @@ func TestRetriesRecoverFromTransient503(t *testing.T) {
 func TestRetryBudgetExhaustionCountsRefused(t *testing.T) {
 	ts, _ := refusingTarget(t, 1<<30) // never stops refusing
 	res, err := Run(Config{
-		BaseURL:     ts.URL,
+		BaseURLs:    []string{ts.URL},
 		Clients:     1,
 		Duration:    30 * time.Second,
 		MaxRequests: 1,
@@ -292,7 +292,7 @@ func TestMultiTargetRoundRobin(t *testing.T) {
 func TestSingleTargetHasNoBreakdown(t *testing.T) {
 	ts := newTarget(t)
 	res, err := Run(Config{
-		BaseURL:      ts.URL,
+		BaseURLs:     []string{ts.URL},
 		Clients:      2,
 		Duration:     30 * time.Second,
 		MaxRequests:  20,
@@ -306,5 +306,13 @@ func TestSingleTargetHasNoBreakdown(t *testing.T) {
 	}
 	if res.PerTarget != nil {
 		t.Fatalf("single-target run produced a PerTarget breakdown: %+v", res.PerTarget)
+	}
+}
+
+// TestRunRequiresTarget: a run with no base URL fails up front instead
+// of dividing its round-robin by zero targets.
+func TestRunRequiresTarget(t *testing.T) {
+	if _, err := Run(Config{}); err == nil {
+		t.Fatal("Run with no BaseURLs succeeded")
 	}
 }

@@ -1,7 +1,8 @@
 // Package loadgen is the client side of the serving story: a
 // deterministic zipf-skewed workload generator and the latency/
-// throughput accounting that turns a run against coltd into the
-// BENCH_serve.json trajectory numbers.
+// throughput accounting of a run against running coltd daemons
+// (cmd/coltload). The repository benchmark's serve-hit workload
+// (bench/) draws its request stream from the same Zipf sampler.
 //
 // The popularity model is the classic bounded zipf distribution:
 // item k (0-based) is drawn with probability proportional to
@@ -9,9 +10,8 @@
 // most submissions — and skew is exactly what exercises the server's
 // coalescing map, cache hot path, and per-shard admission state. The
 // sampler draws from an internal/rng generator, so a (seed, client)
-// pair replays the identical request sequence on every run and the
-// pre/post comparison in a perf PR measures the server, not the
-// workload.
+// pair replays the identical request sequence on every run and a
+// comparison of two builds measures the server, not the workload.
 package loadgen
 
 import (

@@ -8,8 +8,6 @@
 // execution's critical path."
 package perf
 
-import "colt/internal/stats"
-
 // Model holds the interpolation parameters.
 type Model struct {
 	// BaseCPI is the core's cycles-per-instruction assuming perfect
@@ -93,14 +91,4 @@ func MPMI(events, instructions uint64) float64 {
 		return 0
 	}
 	return float64(events) * 1e6 / float64(instructions)
-}
-
-// AverageImprovement aggregates per-benchmark improvements the way the
-// paper reports averages (arithmetic mean of percentages).
-func AverageImprovement(vals []float64) float64 {
-	var s stats.Summary
-	for _, v := range vals {
-		s.Add(v)
-	}
-	return s.Mean()
 }

@@ -92,15 +92,6 @@ func TestMPMI(t *testing.T) {
 	}
 }
 
-func TestAverageImprovement(t *testing.T) {
-	if !almost(AverageImprovement([]float64{10, 20}), 15) {
-		t.Fatal("average wrong")
-	}
-	if AverageImprovement(nil) != 0 {
-		t.Fatal("empty average")
-	}
-}
-
 func TestDefaultModelSane(t *testing.T) {
 	m := Default()
 	if m.BaseCPI <= 0 || m.BaseCPI > 1 || m.MemOverlap < 0 || m.MemOverlap > 1 {

@@ -328,12 +328,6 @@ func mapAll[T any](p *Pool, n int, fn func(i int) (T, error), cancelOnError bool
 	return results, errs
 }
 
-// MapSlice is Map over a slice: it runs fn(i, items[i]) for every item
-// and returns the outputs in item order.
-func MapSlice[S, T any](p *Pool, items []S, fn func(i int, item S) (T, error)) ([]T, error) {
-	return Map(p, len(items), func(i int) (T, error) { return fn(i, items[i]) })
-}
-
 // Retry runs fn up to attempts times (attempt is 0-based), returning
 // nil on the first success. Only errors for which transient returns
 // true are retried; other errors — including *TimeoutError, which is

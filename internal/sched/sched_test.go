@@ -108,22 +108,6 @@ func TestMapEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestMapSlice(t *testing.T) {
-	items := []string{"a", "bb", "ccc"}
-	got, err := MapSlice(New(2), items, func(i int, s string) (int, error) {
-		return i * len(s), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 2, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 // TestMapPanicContained: a panicking job is converted to a *PanicError
 // and never tears down the pool (regression: the pool used to re-panic
 // after the wait, killing every job in the run).

@@ -146,14 +146,6 @@ func (s *Summary) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// PercentChange returns 100*(to-from)/from; 0 when from is 0.
-func PercentChange(from, to float64) float64 {
-	if from == 0 {
-		return 0
-	}
-	return 100 * (to - from) / from
-}
-
 // PercentEliminated returns the percentage of baseline events removed by
 // the improved count: 100*(baseline-improved)/baseline. Negative values
 // mean the "improvement" added events (possible for CoLT-SA conflict
@@ -163,23 +155,6 @@ func PercentEliminated(baseline, improved float64) float64 {
 		return 0
 	}
 	return 100 * (baseline - improved) / baseline
-}
-
-// GeoMean returns the geometric mean of strictly positive values,
-// skipping non-positive entries; 0 when no valid values exist.
-func GeoMean(vals []float64) float64 {
-	var logSum float64
-	n := 0
-	for _, v := range vals {
-		if v > 0 {
-			logSum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
 }
 
 // Table renders aligned plain-text tables for experiment output.

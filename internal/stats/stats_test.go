@@ -111,12 +111,6 @@ func TestSummary(t *testing.T) {
 }
 
 func TestPercentHelpers(t *testing.T) {
-	if PercentChange(0, 5) != 0 {
-		t.Fatal("PercentChange from 0 should be 0")
-	}
-	if !almostEqual(PercentChange(100, 114), 14) {
-		t.Fatalf("PercentChange = %v", PercentChange(100, 114))
-	}
 	if !almostEqual(PercentEliminated(200, 80), 60) {
 		t.Fatalf("PercentEliminated = %v", PercentEliminated(200, 80))
 	}
@@ -125,18 +119,6 @@ func TestPercentHelpers(t *testing.T) {
 	}
 	if PercentEliminated(0, 10) != 0 {
 		t.Fatal("PercentEliminated baseline 0 should be 0")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if !almostEqual(GeoMean([]float64{2, 8}), 4) {
-		t.Fatalf("GeoMean = %v", GeoMean([]float64{2, 8}))
-	}
-	if GeoMean(nil) != 0 || GeoMean([]float64{0, -1}) != 0 {
-		t.Fatal("GeoMean degenerate cases")
-	}
-	if !almostEqual(GeoMean([]float64{0, 4}), 4) {
-		t.Fatal("GeoMean should skip non-positive values")
 	}
 }
 

@@ -53,11 +53,3 @@ func (h *Hist) Mean() float64 {
 	}
 	return float64(h.Sum) / float64(h.Count)
 }
-
-// BucketLo returns the smallest value that lands in bucket i.
-func BucketLo(i int) uint64 {
-	if i <= 0 {
-		return 0
-	}
-	return 1 << uint(i-1)
-}

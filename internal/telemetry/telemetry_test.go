@@ -163,9 +163,6 @@ func TestHistBucketsAndMerge(t *testing.T) {
 	if m.Count != 10 || m.Buckets[2] != 4 || m.Max != 1<<40 {
 		t.Fatalf("bad merge: count=%d b2=%d max=%d", m.Count, m.Buckets[2], m.Max)
 	}
-	if BucketLo(0) != 0 || BucketLo(1) != 1 || BucketLo(5) != 16 {
-		t.Fatal("BucketLo mapping wrong")
-	}
 }
 
 func TestSpansSequenceAndPhaseHook(t *testing.T) {

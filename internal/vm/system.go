@@ -27,13 +27,6 @@ type Config struct {
 	Compaction mm.CompactionMode
 }
 
-// DefaultConfig returns the paper's default Linux setting: THS on,
-// normal compaction, on a 1 GB machine (scaled from the testbed's 3 GB
-// to keep simulations fast; footprints scale with it).
-func DefaultConfig() Config {
-	return Config{Frames: 1 << 18, THP: true, Compaction: mm.CompactionNormal}
-}
-
 // ShootdownHandler observes TLB shootdowns (unmap, remap, migration,
 // hugepage split). The TLB simulator registers one so stale entries are
 // flushed exactly when a real kernel would flush them.

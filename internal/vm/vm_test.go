@@ -406,10 +406,3 @@ func TestSystemProcessesOrder(t *testing.T) {
 		t.Fatal("exit not reflected")
 	}
 }
-
-func TestDefaultConfig(t *testing.T) {
-	c := DefaultConfig()
-	if !c.THP || c.Compaction != mm.CompactionNormal || c.Frames <= 0 {
-		t.Fatalf("DefaultConfig = %+v", c)
-	}
-}
