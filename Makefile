@@ -29,14 +29,17 @@ test:
 	$(GO) test ./...
 
 # The scheduler and the parallel-determinism guards under the race
-# detector: concurrency bugs in the experiment engine show up here.
-# The telemetry determinism tests ride along — TraceSet/Reporter are
-# fed concurrently from all workers. The serving daemon, its disk
-# fault plane, the metrics registry, the cluster layer's heartbeat
-# loop and the cache package's shared lane pools run whole.
+# detector: concurrency bugs in the experiment engine show up here,
+# including jobs recycling each other's pooled arrays and nodes
+# (TestParallelRecycledJobsIsolated). The telemetry determinism tests
+# ride along — TraceSet/Reporter are fed concurrently from all
+# workers. The serving daemon, its disk fault plane, the metrics
+# registry, the cluster layer's heartbeat loop, the cache package's
+# shared lane pools, and the OS model's pooled frame arrays, buddy
+# links and page-table nodes (mm, pagetable, vm) run whole.
 race:
 	$(GO) test -race ./internal/sched ./internal/experiments -run 'Parallel|GoldenHistograms|TraceEvents'
-	$(GO) test -race -count=1 ./internal/server ./internal/server/faultfs ./internal/obs ./internal/cluster ./internal/cache
+	$(GO) test -race -count=1 ./internal/server ./internal/server/faultfs ./internal/obs ./internal/cluster ./internal/cache ./internal/mm ./internal/pagetable ./internal/vm
 
 # Golden-run regression diff: re-runs the golden experiment subset and
 # byte-compares its metrics JSON against internal/experiments/testdata/
@@ -95,9 +98,10 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # Statement-coverage gate: each package listed in .coverage-floor (the
-# observability stack, the OS memory model, the cluster layer, the
-# fault core, the page table, the data caches, and the load generator
-# with its coltload command) must meet its checked-in minimum.
+# observability stack, the OS memory model and its vm layer, the
+# cluster layer, the fault core, the page table, the data caches, and
+# the load generator with its coltload command) must meet its
+# checked-in minimum.
 cover:
 	@set -e; \
 	while read -r pkg floor; do \

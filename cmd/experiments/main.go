@@ -58,7 +58,7 @@ func main() {
 			"concurrent (benchmark × setup) jobs; results are identical for every value")
 		scale      = flag.Float64("scale", 0, "override workload footprint scale")
 		refs       = flag.Int("refs", 0, "override measured references per benchmark")
-		frames     = flag.Int("frames", 0, "override physical memory frames")
+		frames     = flag.Int("frames", 0, fmt.Sprintf("override physical memory frames (at most %d)", experiments.MaxFrames))
 		seed       = flag.Uint64("seed", 0, "override RNG seed")
 		outDir     = flag.String("out", "", "directory for machine-readable metrics JSON (one report per experiment)")
 		hist       = flag.Bool("hist", false, "embed telemetry histograms and phase spans into metrics records")
@@ -84,6 +84,10 @@ func main() {
 	if *refs > 0 {
 		opts.Refs = *refs
 		opts.Warmup = *refs / 10
+	}
+	if *frames > experiments.MaxFrames {
+		fmt.Fprintf(os.Stderr, "experiments: -frames must be at most %d, got %d\n", experiments.MaxFrames, *frames)
+		os.Exit(2)
 	}
 	if *frames > 0 {
 		opts.Frames = *frames

@@ -25,11 +25,10 @@ package cache
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
-	"sync"
 
 	"colt/internal/arch"
+	"colt/internal/pool"
 )
 
 // Level is anything that can service a physical-address access and
@@ -81,33 +80,12 @@ const (
 	maxTick uint32 = ^uint32(0) - 1
 )
 
-// lanes pools metadata lanes by size: lanes[k] holds lanes of 1<<k
-// lines (the paper's levels have 512, 4096 and 65536). New takes one
-// and clears it; a pool miss, or a line count that is not a power of
-// two, allocates. Every lane is fully cleared before use, so whether a
-// lane came from the pool never changes what a level computes.
-var lanes [bits.UintSize]sync.Pool
-
-// lanePool returns the pool of n-line lanes, or nil when n is not a
-// power of two.
-func lanePool(n int) *sync.Pool {
-	if n&(n-1) != 0 {
-		return nil
-	}
-	return &lanes[bits.TrailingZeros(uint(n))]
-}
-
-// takeLane returns a zeroed lane of n lines.
-func takeLane(n int) *[]uint64 {
-	if p := lanePool(n); p != nil {
-		if lane, _ := p.Get().(*[]uint64); lane != nil {
-			clear(*lane)
-			return lane
-		}
-	}
-	lane := make([]uint64, n)
-	return &lane
-}
+// lanes pools metadata lanes by line count (the paper's levels have
+// 512, 4096 and 65536 lines). New takes one, cleared; a pool miss, or a
+// line count that is not a power of two, allocates. Because the empty
+// line is the zero word, whether a lane came from the pool never
+// changes what a level computes.
+var lanes pool.Slices[uint64]
 
 // Cache is one set-associative level backed by a lower Level. Line
 // metadata lives in one fused lane, blocked by set: ways tag words
@@ -123,10 +101,9 @@ type Cache struct {
 	// meta holds, for each set s, the block meta[s*ways : (s+1)*ways]:
 	// one tag|dirty|recency word per way, so a probe's tag scan, its
 	// hit-path recency update, and the miss path's victim scan all
-	// touch the same adjacent words. lane is the pooled handle meta
-	// came from; Release returns it and nils both.
+	// touch the same adjacent words. It comes from lanes; Release
+	// returns it and nils it.
 	meta []uint64
-	lane *[]uint64
 
 	next Level
 	// Devirtualized next-level pointers: the common chain is
@@ -154,15 +131,13 @@ func New(cfg Config, next Level) *Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, sets))
 	}
-	lane := takeLane(linesTotal)
 	c := &Cache{
 		cfg:      cfg,
 		sets:     sets,
 		setShift: uintLog2(sets),
 		ways:     cfg.Ways,
 		hitLat:   cfg.HitLatency,
-		meta:     *lane,
-		lane:     lane,
+		meta:     lanes.Get(linesTotal),
 		next:     next,
 	}
 	switch n := next.(type) {
@@ -180,13 +155,11 @@ func New(cfg Config, next Level) *Cache {
 // reading a lane another level now owns. Stats stays readable, and a
 // second Release is a no-op.
 func (c *Cache) Release() {
-	if c.lane == nil {
+	if c.meta == nil {
 		return
 	}
-	if p := lanePool(len(*c.lane)); p != nil {
-		p.Put(c.lane)
-	}
-	c.meta, c.lane = nil, nil
+	lanes.Put(c.meta)
+	c.meta = nil
 }
 
 // Name returns the level's configured name.

@@ -137,18 +137,18 @@ func TestPropertyVsReferenceModel(t *testing.T) {
 		stream := refStream(int64(size+g.ways), g.sets, g.ways, 40000)
 		for _, reused := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%dx%d/reused=%v", g.sets, g.ways, reused), func(t *testing.T) {
-				var dirtied *[]uint64
+				var dirtied *uint64
 				if reused {
 					dirty := New(cfg, &Memory{Latency: 1})
 					for _, rq := range refStream(99, g.sets, g.ways, 4*g.sets*g.ways) {
 						dirty.Access(rq.addr, true)
 					}
-					dirtied = dirty.lane
+					dirtied = &dirty.meta[0]
 					dirty.Release()
 				}
 				rec := &recordingLevel{}
 				c := New(cfg, rec)
-				if reused && c.lane != dirtied {
+				if reused && &c.meta[0] != dirtied {
 					// 48-line lanes are not pooled, and under -race
 					// the pool drops items at random.
 					t.Log("this run took a fresh lane, not the dirtied one")
@@ -246,6 +246,39 @@ func hierarchyDigest(seed int64) [6]Stats {
 	front.Release()
 	h.Release()
 	return d
+}
+
+// TestRenormalizeKeepsLRU jumps a level's LRU clock to the
+// renormalization threshold mid-stream, so the next access compresses
+// every recency to its rank. Ranks keep the recency order, so the
+// level must go on matching the reference model access by access.
+func TestRenormalizeKeepsLRU(t *testing.T) {
+	const sets, ways = 8, 4
+	cfg := Config{Name: "renorm", SizeBytes: sets * ways * arch.CacheLineSize, Ways: ways, HitLatency: 3}
+	rec := &recordingLevel{}
+	c := New(cfg, rec)
+	defer c.Release()
+	m := newRefCache(sets, ways)
+	stream := refStream(17, sets, ways, 4000)
+	for i, rq := range stream {
+		if i == len(stream)/2 {
+			c.tick = maxTick
+		}
+		rec.reqs = rec.reqs[:0]
+		lat := c.Access(rq.addr, rq.write)
+		hit, want := m.access(rq.addr, rq.write)
+		wantLat := 3
+		if !hit {
+			wantLat += 100
+		}
+		if lat != wantLat || !slices.Equal(rec.reqs, want) {
+			t.Fatalf("access %d %+v: latency %d, next-level requests %+v; model %d, %+v",
+				i, rq, lat, rec.reqs, wantLat, want)
+		}
+	}
+	if c.tick >= maxTick || c.tick > uint32(len(stream)) {
+		t.Fatalf("clock %d: the level never renormalized", c.tick)
+	}
 }
 
 // TestConcurrentLaneReuse runs many hierarchies at once, each taking

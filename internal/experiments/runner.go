@@ -53,6 +53,15 @@ func Setups() []SystemSetup {
 	return []SystemSetup{SetupTHSOnNormal, SetupTHSOffNormal, SetupTHSOffLow, SetupTHSOnMemhog25, SetupTHSOnMemhog50}
 }
 
+// MaxFrames is the largest Options.Frames a caller outside the
+// package may ask for (a coltd spec, the experiments CLI): 16× the
+// DefaultOptions machine. A job keeps ~25 bytes of host memory per
+// simulated frame (the frame bitmaps and owners, the buddy links), so
+// one job at this limit holds ~105 MB. A host allocation that fails
+// kills the whole process rather than one job, so a larger request is
+// refused up front.
+const MaxFrames = 1 << 22
+
 // Options controls simulation size. Defaults reproduce the paper at a
 // laptop-feasible scale; Quick shrinks everything for tests.
 type Options struct {
@@ -488,7 +497,8 @@ const steadyStateSlots = 512
 // byte-identical tables. The fault plane's hooks are wired before the
 // churn phase, so injection covers system build as well as the run.
 // A non-nil tracer is attached to the OS subsystems (THP, compaction,
-// fault plane) so their structured events land in the job's trace.
+// fault plane) so their structured events land in the job's trace. A
+// failed build releases its system.
 func buildSystem(setup SystemSetup, opts Options, benchName string, tracer *telemetry.Tracer) (*vm.System, *rng.RNG, *fault.Plane, error) {
 	sys := vm.NewSystem(vm.Config{Frames: opts.Frames, THP: setup.THP, Compaction: setup.Compaction})
 	sys.THP.SetTracer(tracer)
@@ -503,6 +513,7 @@ func buildSystem(setup SystemSetup, opts Options, benchName string, tracer *tele
 	master := rng.New(seedFor(opts.Seed, benchName, setup.Name))
 	if opts.ChurnOps > 0 {
 		if _, err := vm.BackgroundChurn(sys, opts.ChurnOps, master.Stream("churn")); err != nil {
+			sys.Release()
 			return nil, nil, nil, fmt.Errorf("background churn: %w", err)
 		}
 	}
@@ -517,9 +528,11 @@ func buildSystem(setup SystemSetup, opts Options, benchName string, tracer *tele
 		}
 	}
 	if _, err := vm.StartMemhog(sys, setup.MemhogPct, master.Stream("memhog")); err != nil {
+		sys.Release()
 		return nil, nil, nil, fmt.Errorf("memhog: %w", err)
 	}
 	if err := auditSystem(opts, "after build", sys); err != nil {
+		sys.Release()
 		return nil, nil, nil, err
 	}
 	return sys, master, plane, nil
@@ -548,7 +561,7 @@ func auditSystem(opts Options, where string, sys *vm.System) error {
 
 // RunContiguity performs the paper's characterization for one
 // benchmark: build the system and the benchmark's memory, then scan its
-// page table (Figures 7-17).
+// page table (Figures 7-17). The system is released on return.
 func RunContiguity(spec workload.Spec, setup SystemSetup, opts Options) (contig.Result, error) {
 	start := time.Now()
 	label := jobLabel(metrics.KindContig, spec.Name, setup.Name)
@@ -568,6 +581,7 @@ func RunContiguity(spec workload.Spec, setup SystemSetup, opts Options) (contig.
 	if err != nil {
 		return contig.Result{}, err
 	}
+	defer sys.Release()
 	proc, err := sys.NewProcess()
 	if err != nil {
 		return contig.Result{}, err
@@ -665,6 +679,7 @@ type benchSim struct {
 
 // newBenchSim boots the system, fragments it, builds the workload, and
 // attaches one simulator per variant (all registered for shootdowns).
+// On error the system is released.
 func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants []Variant) (*benchSim, *rng.RNG, error) {
 	var tracer *telemetry.Tracer
 	if opts.Events != nil {
@@ -676,11 +691,13 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 	}
 	proc, err := sys.NewProcess()
 	if err != nil {
+		sys.Release()
 		return nil, nil, err
 	}
 	proc.EnableSwap()
 	w, err := workload.Build(scaledSpec(spec, opts), proc, master.Stream("workload"))
 	if err != nil {
+		sys.Release()
 		return nil, nil, fmt.Errorf("building %s: %w", spec.Name, err)
 	}
 	b := &benchSim{
@@ -723,14 +740,16 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 	return b, master, nil
 }
 
-// release hands every variant's cache hierarchy and the shared front
-// back to the cache package's lane pools, so the next job's levels
-// reuse their metadata lanes; b must not step afterwards.
+// release hands every variant's cache hierarchy, the shared front and
+// the OS model (frame arrays, buddy links, page-table nodes) back to
+// their pools, so the next job reuses them; b must not step
+// afterwards.
 func (b *benchSim) release() {
 	b.front.Release()
 	for _, s := range b.sims {
 		s.caches.Release()
 	}
+	b.sys.Release()
 }
 
 // step executes one reference of the identical stream against every

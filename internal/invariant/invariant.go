@@ -126,15 +126,14 @@ func AuditFrameOwners(sys *vm.System) []Violation {
 						Detail: fmt.Sprintf("maps invalid frame %d", pfn)})
 					continue
 				}
-				f := sys.Phys.Frame(pfn)
-				if !f.Allocated {
+				if !sys.Phys.Allocated(pfn) {
 					out = append(out, Violation{Check: "frame-owner", Subject: subject,
 						Detail: fmt.Sprintf("maps free frame %d", pfn)})
 					continue
 				}
-				if f.Owner.PID != pid || f.Owner.VPN != vpn {
+				if owner := sys.Phys.Owner(pfn); owner.PID != pid || owner.VPN != vpn {
 					out = append(out, Violation{Check: "frame-owner", Subject: subject,
-						Detail: fmt.Sprintf("frame %d owner is pid %d vpn %d", pfn, f.Owner.PID, f.Owner.VPN)})
+						Detail: fmt.Sprintf("frame %d owner is pid %d vpn %d", pfn, owner.PID, owner.VPN)})
 				}
 			}
 			return true
@@ -144,26 +143,29 @@ func AuditFrameOwners(sys *vm.System) []Violation {
 	// (page tables and other pinned kernel state) carry no VPN.
 	for i := 0; i < sys.Phys.NumFrames(); i++ {
 		pfn := arch.PFN(i)
-		f := sys.Phys.Frame(pfn)
-		if !f.Allocated || f.Owner.PID == mm.KernelPID {
+		if !sys.Phys.Allocated(pfn) {
+			continue
+		}
+		owner := sys.Phys.Owner(pfn)
+		if owner.PID == mm.KernelPID {
 			continue
 		}
 		subject := fmt.Sprintf("frame %d", pfn)
-		proc := sys.Process(f.Owner.PID)
+		proc := sys.Process(owner.PID)
 		if proc == nil {
 			out = append(out, Violation{Check: "frame-owner", Subject: subject,
-				Detail: fmt.Sprintf("owned by unknown pid %d", f.Owner.PID)})
+				Detail: fmt.Sprintf("owned by unknown pid %d", owner.PID)})
 			continue
 		}
-		got, _, ok := proc.Table.Resolve(f.Owner.VPN)
+		got, _, ok := proc.Table.Resolve(owner.VPN)
 		if !ok {
 			out = append(out, Violation{Check: "frame-owner", Subject: subject,
-				Detail: fmt.Sprintf("owner pid %d vpn %d is not mapped", f.Owner.PID, f.Owner.VPN)})
+				Detail: fmt.Sprintf("owner pid %d vpn %d is not mapped", owner.PID, owner.VPN)})
 			continue
 		}
 		if got != pfn {
 			out = append(out, Violation{Check: "frame-owner", Subject: subject,
-				Detail: fmt.Sprintf("owner pid %d vpn %d maps frame %d instead", f.Owner.PID, f.Owner.VPN, got)})
+				Detail: fmt.Sprintf("owner pid %d vpn %d maps frame %d instead", owner.PID, owner.VPN, got)})
 		}
 	}
 	return out

@@ -64,9 +64,13 @@ func TestAuditBuddy(t *testing.T) {
 	if vs := invariant.AuditBuddy(buddy); len(vs) != 0 {
 		t.Fatalf("fresh buddy audit reported %v", checkStrings(vs))
 	}
-	// Corrupt frame metadata behind the allocator's back: a frame on
-	// the free lists must never be marked Allocated.
-	phys.Frame(3).Allocated = true
+	// Corrupt frame metadata behind the allocator's back: a second
+	// allocator over the same memory claims frame 3, which the first
+	// still holds on its free lists. A free-list frame must never be
+	// marked allocated.
+	if !mm.NewBuddy(phys).AllocSpecific(3) {
+		t.Fatal("second allocator could not claim frame 3")
+	}
 	vs := invariant.AuditBuddy(buddy)
 	if len(vs) == 0 {
 		t.Fatal("buddy audit missed corrupted frame metadata")

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"colt/internal/arch"
+	"colt/internal/pool"
 )
 
 // MaxOrder is the number of buddy free lists, matching Linux's
@@ -25,8 +26,6 @@ var (
 	ErrOutOfMemory = errors.New("mm: out of physical memory")
 	ErrFragmented  = errors.New("mm: no contiguous block of requested order (memory fragmented)")
 )
-
-const nilPFN = int64(-1)
 
 // Run is a contiguous range of physical frames.
 type Run struct {
@@ -56,13 +55,16 @@ type BuddyStats struct {
 type Buddy struct {
 	phys *PhysMem
 
-	// freeHead[k] is the PFN of the first free block of order k, or
-	// nilPFN. Blocks are intrusively double-linked through next/prev
-	// (indexed by block-head PFN), giving deterministic LIFO reuse.
-	freeHead [MaxOrder]int64
-	next     []int64
-	prev     []int64
-	// orderOf[pfn] is k when pfn heads a free block of order k, else -1.
+	// freeHead[k] links the first free block of order k. Blocks are
+	// intrusively double-linked through next/prev (indexed by
+	// block-head PFN), giving deterministic LIFO reuse. A link holds
+	// the PFN plus one, so zero means "none" and a zeroed array is an
+	// empty list.
+	freeHead [MaxOrder]int32
+	next     []int32
+	prev     []int32
+	// orderOf[pfn] is k+1 when pfn heads a free block of order k, else
+	// 0.
 	orderOf []int8
 
 	freeBlocks [MaxOrder]int
@@ -74,27 +76,41 @@ type Buddy struct {
 	failAlloc func(order int) error
 }
 
+// The link arrays of released allocators, recycled by NewBuddy (see
+// package pool).
+var (
+	linkPool  pool.Slices[int32]
+	orderPool pool.Slices[int8]
+)
+
 // NewBuddy builds an allocator owning every frame of pm, initially all
 // free.
 func NewBuddy(pm *PhysMem) *Buddy {
+	n := pm.NumFrames()
 	b := &Buddy{
 		phys:    pm,
-		next:    make([]int64, pm.NumFrames()),
-		prev:    make([]int64, pm.NumFrames()),
-		orderOf: make([]int8, pm.NumFrames()),
-	}
-	for k := range b.freeHead {
-		b.freeHead[k] = nilPFN
-	}
-	for i := range b.orderOf {
-		b.orderOf[i] = -1
-		b.next[i] = nilPFN
-		b.prev[i] = nilPFN
+		next:    linkPool.Get(n),
+		prev:    linkPool.Get(n),
+		orderOf: orderPool.Get(n),
 	}
 	// Seed the free lists by decomposing [0, n) into maximal aligned
 	// power-of-two blocks.
-	b.insertRange(0, pm.NumFrames())
+	b.insertRange(0, n)
 	return b
+}
+
+// Release hands the link arrays back to their pools for the next
+// allocator of the same size. The allocator is unusable afterwards:
+// allocating or freeing panics. Stats stays readable, and a second
+// Release does nothing.
+func (b *Buddy) Release() {
+	if b.orderOf == nil {
+		return
+	}
+	linkPool.Put(b.next)
+	linkPool.Put(b.prev)
+	orderPool.Put(b.orderOf)
+	b.next, b.prev, b.orderOf = nil, nil, nil
 }
 
 // insertRange frees the frames [base, base+n) as aligned blocks without
@@ -123,34 +139,37 @@ func maxOrderFor(base arch.PFN, n int) int {
 	return k
 }
 
+// link encodes pfn as a free-list link: the PFN plus one.
+func link(pfn arch.PFN) int32 { return int32(pfn) + 1 }
+
 func (b *Buddy) pushFree(pfn arch.PFN, order int) {
-	p := int64(pfn)
-	b.orderOf[p] = int8(order)
-	b.next[p] = b.freeHead[order]
-	b.prev[p] = nilPFN
-	if b.freeHead[order] != nilPFN {
-		b.prev[b.freeHead[order]] = p
+	head := b.freeHead[order]
+	b.orderOf[pfn] = int8(order + 1)
+	b.next[pfn] = head
+	b.prev[pfn] = 0
+	if head != 0 {
+		b.prev[head-1] = link(pfn)
 	}
-	b.freeHead[order] = p
+	b.freeHead[order] = link(pfn)
 	b.freeBlocks[order]++
 	b.freePages += 1 << order
 }
 
 func (b *Buddy) removeFree(pfn arch.PFN, order int) {
-	p := int64(pfn)
-	if b.orderOf[p] != int8(order) {
-		panic(fmt.Sprintf("mm: removeFree(%d, %d) but block has order %d", pfn, order, b.orderOf[p]))
+	if b.orderOf[pfn] != int8(order+1) {
+		panic(fmt.Sprintf("mm: removeFree(%d, %d) but block has order %d", pfn, order, b.orderOf[pfn]-1))
 	}
-	if b.prev[p] != nilPFN {
-		b.next[b.prev[p]] = b.next[p]
+	next, prev := b.next[pfn], b.prev[pfn]
+	if prev != 0 {
+		b.next[prev-1] = next
 	} else {
-		b.freeHead[order] = b.next[p]
+		b.freeHead[order] = next
 	}
-	if b.next[p] != nilPFN {
-		b.prev[b.next[p]] = b.prev[p]
+	if next != 0 {
+		b.prev[next-1] = prev
 	}
-	b.orderOf[p] = -1
-	b.next[p], b.prev[p] = nilPFN, nilPFN
+	b.orderOf[pfn] = 0
+	b.next[pfn], b.prev[pfn] = 0, 0
 	b.freeBlocks[order]--
 	b.freePages -= 1 << order
 }
@@ -166,7 +185,7 @@ func (b *Buddy) FreeBlocksOfOrder(k int) int { return b.freeBlocks[k] }
 // when memory is exhausted.
 func (b *Buddy) LargestFreeOrder() int {
 	for k := MaxOrder - 1; k >= 0; k-- {
-		if b.freeHead[k] != nilPFN {
+		if b.freeHead[k] != 0 {
 			return k
 		}
 	}
@@ -191,6 +210,9 @@ func (b *Buddy) AllocBlock(order int) (arch.PFN, error) {
 	if order < 0 || order >= MaxOrder {
 		return 0, fmt.Errorf("mm: invalid order %d", order)
 	}
+	if b.orderOf == nil {
+		panic("mm: allocation from a released Buddy")
+	}
 	if b.failAlloc != nil {
 		if err := b.failAlloc(order); err != nil {
 			b.stats.AllocFails++
@@ -198,7 +220,7 @@ func (b *Buddy) AllocBlock(order int) (arch.PFN, error) {
 		}
 	}
 	k := order
-	for k < MaxOrder && b.freeHead[k] == nilPFN {
+	for k < MaxOrder && b.freeHead[k] == 0 {
 		k++
 	}
 	if k == MaxOrder {
@@ -209,7 +231,7 @@ func (b *Buddy) AllocBlock(order int) (arch.PFN, error) {
 		}
 		return 0, ErrOutOfMemory
 	}
-	pfn := arch.PFN(b.freeHead[k])
+	pfn := arch.PFN(b.freeHead[k] - 1)
 	b.removeFree(pfn, k)
 	// Iteratively halve the block, returning upper halves to their
 	// free lists, until we hold a block of the requested order.
@@ -309,14 +331,14 @@ func orderForCount(n int) int {
 // compaction daemon uses to claim migration targets taken from the top
 // of memory. Returns false if the frame is already allocated.
 func (b *Buddy) AllocSpecific(pfn arch.PFN) bool {
-	if !b.phys.Valid(pfn) || b.phys.Frame(pfn).Allocated {
+	if !b.phys.Valid(pfn) || b.phys.Allocated(pfn) {
 		return false
 	}
 	// Find the free block containing pfn: its head is pfn rounded down
 	// to the block's alignment for some order.
 	for k := 0; k < MaxOrder; k++ {
 		head := pfn &^ (arch.PFN(1)<<k - 1)
-		if b.orderOf[head] == int8(k) {
+		if b.orderOf[head] == int8(k+1) {
 			b.removeFree(head, k)
 			// Split off everything except pfn itself, re-freeing the
 			// fragments as maximal aligned blocks.
@@ -348,14 +370,11 @@ func (b *Buddy) FreeRange(pfn arch.PFN, n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("mm: FreeRange length %d", n))
 	}
-	for i := 0; i < n; i++ {
-		f := b.phys.Frame(pfn + arch.PFN(i))
-		if !f.Allocated {
-			panic(fmt.Sprintf("mm: double free of frame %d", pfn+arch.PFN(i)))
+	for p := pfn; p < pfn+arch.PFN(n); p++ {
+		if !b.phys.Allocated(p) {
+			panic(fmt.Sprintf("mm: double free of frame %d", p))
 		}
-		f.Allocated = false
-		f.Movable = false
-		f.Owner = PageOwner{}
+		b.phys.clearFrame(p)
 	}
 	b.stats.Frees++
 	b.freeFrames(pfn, n)
@@ -365,11 +384,8 @@ func (b *Buddy) FreeRange(pfn arch.PFN, n int) {
 // lists after clearing their metadata; used for tails of oversized
 // blocks.
 func (b *Buddy) freeFramesNoStats(pfn arch.PFN, n int) {
-	for i := 0; i < n; i++ {
-		f := b.phys.Frame(pfn + arch.PFN(i))
-		f.Allocated = false
-		f.Movable = false
-		f.Owner = PageOwner{}
+	for p := pfn; p < pfn+arch.PFN(n); p++ {
+		b.phys.clearFrame(p)
 	}
 	b.freeFrames(pfn, n)
 }
@@ -391,7 +407,7 @@ func (b *Buddy) freeFrames(pfn arch.PFN, n int) {
 func (b *Buddy) freeOne(pfn arch.PFN, order int) {
 	for order < MaxOrder-1 {
 		buddy := pfn ^ (arch.PFN(1) << order)
-		if !b.phys.Valid(buddy) || b.orderOf[buddy] != int8(order) {
+		if !b.phys.Valid(buddy) || b.orderOf[buddy] != int8(order+1) {
 			break
 		}
 		b.removeFree(buddy, order)
@@ -405,12 +421,8 @@ func (b *Buddy) freeOne(pfn arch.PFN, order int) {
 }
 
 func (b *Buddy) markAllocated(pfn arch.PFN, n int) {
-	for i := 0; i < n; i++ {
-		f := b.phys.Frame(pfn + arch.PFN(i))
-		if f.Allocated {
-			panic(fmt.Sprintf("mm: frame %d allocated twice", pfn+arch.PFN(i)))
-		}
-		f.Allocated = true
+	for p := pfn; p < pfn+arch.PFN(n); p++ {
+		b.phys.setAllocated(p)
 	}
 }
 
@@ -448,11 +460,11 @@ func (b *Buddy) Audit() []string {
 	var pages uint64
 	for k := 0; k < MaxOrder; k++ {
 		count := 0
-		for p := b.freeHead[k]; p != nilPFN; p = b.next[p] {
+		for p := b.freeHead[k]; p != 0; p = b.next[p-1] {
 			count++
-			head := arch.PFN(p)
-			if b.orderOf[p] != int8(k) {
-				issues = append(issues, fmt.Sprintf("block %d on list %d has orderOf %d", head, k, b.orderOf[p]))
+			head := arch.PFN(p - 1)
+			if b.orderOf[head] != int8(k+1) {
+				issues = append(issues, fmt.Sprintf("block %d on list %d has orderOf %d", head, k, b.orderOf[head]-1))
 			}
 			if uint64(head)%(1<<k) != 0 {
 				issues = append(issues, fmt.Sprintf("block %d on list %d is misaligned", head, k))
@@ -467,7 +479,7 @@ func (b *Buddy) Audit() []string {
 					issues = append(issues, fmt.Sprintf("frame %d on two free blocks", f))
 				}
 				seen[f] = true
-				if b.phys.Frame(f).Allocated {
+				if b.phys.Allocated(f) {
 					issues = append(issues, fmt.Sprintf("frame %d free but marked allocated", f))
 				}
 			}
@@ -482,7 +494,7 @@ func (b *Buddy) Audit() []string {
 	}
 	for i := 0; i < b.phys.NumFrames(); i++ {
 		pfn := arch.PFN(i)
-		if !b.phys.Frame(pfn).Allocated && !seen[pfn] {
+		if !b.phys.Allocated(pfn) && !seen[pfn] {
 			issues = append(issues, fmt.Sprintf("frame %d neither allocated nor on a free list", pfn))
 		}
 	}

@@ -1,11 +1,13 @@
 package mm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"colt/internal/arch"
+	"colt/internal/rng"
 )
 
 func newTestBuddy(t *testing.T, frames int) (*PhysMem, *Buddy) {
@@ -319,12 +321,79 @@ func TestPhysMemBasics(t *testing.T) {
 	pm.SetOwner(3, PageOwner{PID: 9, VPN: 42}, true)
 	f := pm.Frame(3)
 	if f.Owner.PID != 9 || f.Owner.VPN != 42 || !f.Movable {
-		t.Fatalf("Frame metadata = %+v", *f)
+		t.Fatalf("Frame metadata = %+v", f)
 	}
+	mustPanic(t, "NewPhysMem(0)", func() { NewPhysMem(0) })
+	// Free-list links hold pfn+1 in an int32.
+	mustPanic(t, "NewPhysMem above the int32 range", func() { NewPhysMem(math.MaxInt32 + 1) })
+}
+
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewPhysMem(0) did not panic")
+			t.Errorf("%s did not panic", what)
 		}
 	}()
-	NewPhysMem(0)
+	fn()
+}
+
+// TestReleasedMemoryPanicsOnUse: a released Buddy or PhysMem has handed
+// its arrays to the next memory of its size, so any use must panic
+// rather than touch arrays another system now owns. A second Release
+// does nothing, and stats stay readable.
+func TestReleasedMemoryPanicsOnUse(t *testing.T) {
+	pm := NewPhysMem(1024)
+	b := NewBuddy(pm)
+	// With every frame allocated no free list has a block, so only the
+	// released-allocator check can stop AllocBlock.
+	if _, err := b.AllocRange(1024); err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	b.Release()
+	if b.Stats().Allocs != 1 {
+		t.Fatalf("stats after Release = %+v", b.Stats())
+	}
+	mustPanic(t, "AllocBlock on a released Buddy", func() { b.AllocBlock(0) })
+	mustPanic(t, "FreeRange on a released Buddy", func() { b.FreeRange(0, 1) })
+	pm.Release()
+	pm.Release()
+	mustPanic(t, "Allocated on a released PhysMem", func() { pm.Allocated(0) })
+	mustPanic(t, "SetOwner on a released PhysMem", func() { pm.SetOwner(0, PageOwner{PID: 1}, true) })
+}
+
+// TestRecycledBuddyStartsFresh dirties a memory and its allocator,
+// releases both, and checks that the next pair of the same size, built
+// on the recycled arrays, is the fresh all-free machine.
+func TestRecycledBuddyStartsFresh(t *testing.T) {
+	const n = 4096
+	pm := NewPhysMem(n)
+	b := NewBuddy(pm)
+	r := rng.New(7)
+	for i := 0; i < 200; i++ {
+		if pfn, err := b.AllocBlock(r.Intn(4)); err == nil {
+			pm.SetOwner(pfn, PageOwner{PID: 1, VPN: arch.VPN(i)}, true)
+		}
+	}
+	b.Release()
+	pm.Release()
+
+	pm = NewPhysMem(n)
+	b = NewBuddy(pm)
+	if got := pm.AllocatedFrames(); got != 0 {
+		t.Fatalf("recycled memory has %d allocated frames", got)
+	}
+	for pfn := arch.PFN(0); pfn < n; pfn++ {
+		if f := pm.Frame(pfn); f != (Frame{}) {
+			t.Fatalf("recycled frame %d is %+v", pfn, f)
+		}
+	}
+	if issues := b.Audit(); len(issues) > 0 {
+		t.Fatalf("recycled allocator inconsistent: %v", issues)
+	}
+	if b.FreePages() != n || b.FreeBlocksOfOrder(MaxOrder-1) != n>>(MaxOrder-1) {
+		t.Fatalf("recycled allocator: %d free pages, %d top-order blocks", b.FreePages(), b.FreeBlocksOfOrder(MaxOrder-1))
+	}
 }

@@ -1,6 +1,8 @@
 package mm
 
 import (
+	"math/bits"
+
 	"colt/internal/arch"
 	"colt/internal/telemetry"
 )
@@ -229,33 +231,27 @@ func (c *Compactor) compact(targetOrder, budget int) int {
 		if targetOrder >= 0 && moved%exitCheckInterval == 0 && c.orderSatisfied(targetOrder) {
 			return moved
 		}
-		f := c.phys.Frame(migScan)
-		if !f.Allocated || !f.Movable {
-			migScan++
-			continue
+		// Skip to the next movable page. Skipped frames change no buddy
+		// state, so each of them would have repeated the exit check
+		// above with the same answer.
+		if migScan = c.phys.nextMovable(migScan, freeScan); migScan == freeScan {
+			break
 		}
 		// Isolate a run of movable pages and migrate it to an equally
 		// long free run near the top, ascending within the run: page
 		// migration preserves the virtual-to-physical contiguity of
 		// what it moves.
-		k := 1
-		for k < maxMigrateRun && moved+k < budget && migScan+arch.PFN(k) < freeScan {
-			nf := c.phys.Frame(migScan + arch.PFN(k))
-			if !nf.Allocated || !nf.Movable {
-				break
-			}
-			k++
-		}
+		k := c.phys.movableRun(migScan, freeScan, budget-moved)
 		var target, hint arch.PFN
 		ok := false
 		if k < failedLen {
-			if target, hint, ok = c.findFreeRun(migScan+arch.PFN(k), freeScan, k); !ok {
+			if target, hint, ok = c.phys.findFreeRun(migScan+arch.PFN(k), freeScan, k); !ok {
 				failedLen = k
 			}
 		}
 		if !ok && k > 1 {
 			k = 1
-			target, hint, ok = c.findFreeRun(migScan+1, freeScan, 1)
+			target, hint, ok = c.phys.findFreeRun(migScan+1, freeScan, 1)
 		}
 		if !ok {
 			break
@@ -308,7 +304,7 @@ func (c *Compactor) migratePage(from, to arch.PFN) bool {
 		c.stats.MigrateFails++
 		return false
 	}
-	owner := c.phys.Frame(from).Owner
+	owner := c.phys.Owner(from)
 	c.phys.SetOwner(to, owner, true)
 	if c.migrator != nil {
 		if err := c.migrator.MigratePage(owner, from, to); err != nil {
@@ -324,19 +320,77 @@ func (c *Compactor) migratePage(from, to arch.PFN) bool {
 	return true
 }
 
-// findFreeRun searches downward from hi for k consecutive free frames
-// strictly above lo, returning the run base and a new downward-scan
-// hint.
-func (c *Compactor) findFreeRun(lo, hi arch.PFN, k int) (base, hint arch.PFN, ok bool) {
-	run := 0
-	for p := hi; p > lo; p-- {
-		if !c.phys.Frame(p).Allocated {
-			run++
-		} else {
-			run = 0
+// The compaction scanners read the frame bitmaps a word at a time.
+// Each returns exactly what a frame-by-frame loop over Allocated and
+// Movable returns; scan_test.go keeps those loops as the reference.
+
+// nextMovable returns the first allocated, movable frame in
+// [from, end), or end when there is none: the migrate scanner's skip.
+func (pm *PhysMem) nextMovable(from, end arch.PFN) arch.PFN {
+	if from >= end {
+		return end
+	}
+	w := from >> 6
+	x := pm.allocated[w] & pm.movable[w] &^ (bitOf(from) - 1)
+	for x == 0 {
+		w++
+		if w<<6 >= end {
+			return end
 		}
-		if run == k {
-			return p, p - 1, true
+		x = pm.allocated[w] & pm.movable[w]
+	}
+	return min(w<<6+arch.PFN(bits.TrailingZeros64(x)), end)
+}
+
+// movableRun returns the length of the run of allocated, movable
+// frames starting at the movable frame migScan < freeScan, capped at
+// maxMigrateRun, at left (the pass's remaining budget, at least 1) and
+// at the frames below freeScan: the run the migrate scanner isolates.
+func (pm *PhysMem) movableRun(migScan, freeScan arch.PFN, left int) int {
+	limit := min(maxMigrateRun, left, int(freeScan-migScan))
+	n := 0
+	for n < limit {
+		p := migScan + arch.PFN(n)
+		shift := int(p & 63)
+		// The shift fills the top with zeros, so the count of trailing
+		// ones stops at the word's end.
+		ones := bits.TrailingZeros64(^(pm.allocated[p>>6] & pm.movable[p>>6] >> shift))
+		n += ones
+		if ones < 64-shift {
+			break
+		}
+	}
+	return min(n, limit)
+}
+
+// findFreeRun searches downward from hi for k consecutive free frames
+// strictly above lo, returning the base of the highest such run and a
+// new downward-scan hint. It steps over each word's free and allocated
+// stretches with one leading-zero count apiece; run carries a free
+// stretch across a word boundary.
+func (pm *PhysMem) findFreeRun(lo, hi arch.PFN, k int) (base, hint arch.PFN, ok bool) {
+	run := 0 // free frames counted above p, up to hi
+	for p := hi; p > lo; {
+		bottom := max(p&^63, lo+1) // lowest frame of p's word in range
+		free := ^pm.allocated[p>>6]
+		for p >= bottom {
+			// Frame p moves to bit 63: free frames from p down are the
+			// leading ones, allocated ones the leading zeros.
+			x := free << (63 - p&63)
+			avail := int(p-bottom) + 1
+			ones := min(bits.LeadingZeros64(^x), avail)
+			if run+ones >= k {
+				base = p + 1 - arch.PFN(k-run)
+				return base, base - 1, true
+			}
+			run += ones
+			if ones == avail {
+				p = bottom - 1
+				break
+			}
+			p -= arch.PFN(ones)
+			run = 0
+			p -= arch.PFN(min(bits.LeadingZeros64(x<<ones), int(p-bottom)+1))
 		}
 	}
 	return 0, lo, false

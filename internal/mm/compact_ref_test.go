@@ -169,9 +169,9 @@ func (w *diffWorld) diff(ref *diffWorld) string {
 			return fmt.Sprintf("%d free blocks of order %d, reference %d", got, k, want)
 		}
 	}
-	for i := range w.pm.frames {
-		if w.pm.frames[i] != ref.pm.frames[i] {
-			return fmt.Sprintf("frame %d is %+v, reference %+v", i, w.pm.frames[i], ref.pm.frames[i])
+	for i := 0; i < w.pm.NumFrames(); i++ {
+		if got, want := w.pm.Frame(arch.PFN(i)), ref.pm.Frame(arch.PFN(i)); got != want {
+			return fmt.Sprintf("frame %d is %+v, reference %+v", i, got, want)
 		}
 	}
 	return ""

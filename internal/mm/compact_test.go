@@ -83,7 +83,7 @@ func TestCompactDefragments(t *testing.T) {
 	for _, m := range mig.moves {
 		f := pm.Frame(m.to)
 		if !f.Allocated || f.Owner != m.owner {
-			t.Fatalf("target frame %d metadata wrong: %+v", m.to, *f)
+			t.Fatalf("target frame %d metadata wrong: %+v", m.to, f)
 		}
 	}
 }
@@ -349,7 +349,7 @@ func TestCompactNoFreeTarget(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		f := pm.Frame(arch.PFN(i))
 		if !f.Allocated || f.Owner.PID != 1 || f.Owner.VPN != arch.VPN(i) {
-			t.Fatalf("frame %d metadata disturbed: %+v", i, *f)
+			t.Fatalf("frame %d metadata disturbed: %+v", i, f)
 		}
 	}
 }
@@ -392,7 +392,7 @@ func TestCompactRehomingFailureRollsBack(t *testing.T) {
 		}
 		f := pm.Frame(pfn)
 		if !f.Allocated || f.Owner.PID != 1 || f.Owner.VPN != arch.VPN(i) {
-			t.Fatalf("unmigrated frame %d metadata wrong after rollback: %+v", i, *f)
+			t.Fatalf("unmigrated frame %d metadata wrong after rollback: %+v", i, f)
 		}
 	}
 }
@@ -429,24 +429,23 @@ func TestCompactMigrateFaultHook(t *testing.T) {
 func TestFindFreeRun(t *testing.T) {
 	pm := NewPhysMem(64)
 	b := NewBuddy(pm)
-	c := NewCompactor(pm, b, nil, CompactionNormal)
 	// Allocate everything, then free [40,44) and [50,51).
 	if _, err := b.AllocRange(64); err != nil {
 		t.Fatal(err)
 	}
 	b.FreeRange(40, 4)
 	b.FreeRange(50, 1)
-	base, hint, ok := c.findFreeRun(0, 63, 4)
+	base, hint, ok := pm.findFreeRun(0, 63, 4)
 	if !ok || base != 40 {
 		t.Fatalf("findFreeRun(4) = %d,%v", base, ok)
 	}
 	if hint != base-1 {
 		t.Fatalf("hint = %d", hint)
 	}
-	if _, _, ok := c.findFreeRun(0, 63, 5); ok {
+	if _, _, ok := pm.findFreeRun(0, 63, 5); ok {
 		t.Fatal("found a 5-run that does not exist")
 	}
-	base, _, ok = c.findFreeRun(45, 63, 1)
+	base, _, ok = pm.findFreeRun(45, 63, 1)
 	if !ok || base != 50 {
 		t.Fatalf("findFreeRun(1, lo=45) = %d,%v", base, ok)
 	}

@@ -151,7 +151,7 @@ func (t *THP) MaybeSplit(splitter func(HugeAlloc) bool) int {
 		// the record; drop it if it is still ours.
 		t.Release(h.PID, h.BaseVPN)
 		for i := 0; i < arch.PagesPerHuge; i++ {
-			t.phys.Frame(h.BasePFN + arch.PFN(i)).Movable = true
+			t.phys.SetMovable(h.BasePFN + arch.PFN(i))
 		}
 		t.stats.Splits++
 		t.tracer.Emit(telemetry.EvTHPDemote, 0, telemetry.LevelNone, uint64(h.BaseVPN), uint64(h.BasePFN))
@@ -172,7 +172,7 @@ func (t *THP) SplitAll(splitter func(HugeAlloc) bool) int {
 		}
 		t.Release(h.PID, h.BaseVPN)
 		for i := 0; i < arch.PagesPerHuge; i++ {
-			t.phys.Frame(h.BasePFN + arch.PFN(i)).Movable = true
+			t.phys.SetMovable(h.BasePFN + arch.PFN(i))
 		}
 		t.stats.Splits++
 		t.tracer.Emit(telemetry.EvTHPDemote, 0, telemetry.LevelNone, uint64(h.BaseVPN), uint64(h.BasePFN))

@@ -39,7 +39,7 @@ func TestTHPAllocAlignedAndUnmovable(t *testing.T) {
 	for i := 0; i < arch.PagesPerHuge; i++ {
 		f := pm.Frame(pfn + arch.PFN(i))
 		if !f.Allocated || f.Movable {
-			t.Fatalf("huge frame %d: %+v", i, *f)
+			t.Fatalf("huge frame %d: %+v", i, f)
 		}
 		if f.Owner.PID != 7 || f.Owner.VPN != arch.VPN(512+i) {
 			t.Fatalf("huge frame %d owner: %+v", i, f.Owner)
@@ -130,7 +130,7 @@ func TestTHPPressureSplit(t *testing.T) {
 	// contiguity preserved).
 	f := pm.Frame(splitCalls[0].BasePFN)
 	if !f.Allocated || !f.Movable {
-		t.Fatalf("split frame state: %+v", *f)
+		t.Fatalf("split frame state: %+v", f)
 	}
 	if b.FreePages() >= 2048 {
 		t.Fatal("splitting must not free memory")

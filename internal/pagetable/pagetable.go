@@ -10,6 +10,7 @@ package pagetable
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"colt/internal/arch"
 	"colt/internal/telemetry"
@@ -48,6 +49,22 @@ type node struct {
 	children [fanout]*node    // interior links (levels 0..2)
 	ptes     [fanout]arch.PTE // leaf PTEs (level 3) or huge PTEs (level 2)
 	live     int              // number of present children+ptes, for pruning
+}
+
+// nodePool recycles the ~16 KB nodes of released tables: a simulation job
+// builds its page tables from scratch, and the next job takes the
+// nodes the last one released.
+var nodePool sync.Pool
+
+// newNode returns an empty node for the table frame pfn, cleared if it
+// came from the pool, so a recycled node is indistinguishable from a
+// fresh one.
+func newNode(pfn arch.PFN) *node {
+	if n, _ := nodePool.Get().(*node); n != nil {
+		*n = node{pfn: pfn}
+		return n
+	}
+	return &node{pfn: pfn}
 }
 
 // Table is one process's page table. It is not safe for concurrent
@@ -148,7 +165,7 @@ func New(fs FrameSource) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pagetable: allocating root: %w", err)
 	}
-	return &Table{frames: fs, root: &node{pfn: pfn}, memoGen: 1}, nil
+	return &Table{frames: fs, root: newNode(pfn), memoGen: 1}, nil
 }
 
 func levelIndex(vpn arch.VPN, level int) int {
@@ -209,7 +226,7 @@ func (t *Table) MapHuge(baseVPN arch.VPN, pte arch.PTE) error {
 			if err != nil {
 				return fmt.Errorf("pagetable: allocating level-%d table: %w", level+1, err)
 			}
-			child = &node{pfn: pfn}
+			child = newNode(pfn)
 			n.children[idx] = child
 			n.live++
 		}
@@ -257,7 +274,7 @@ func (t *Table) ptNode(vpn arch.VPN, verb string) (*node, error) {
 			if err != nil {
 				return nil, fmt.Errorf("pagetable: %s level-%d table: %w", verb, level+1, err)
 			}
-			child = &node{pfn: pfn}
+			child = newNode(pfn)
 			n.children[idx] = child
 			n.live++
 		}
@@ -513,6 +530,7 @@ func (t *Table) prune(nodes []*node, vpn arch.VPN) {
 		parent.children[idx] = nil
 		parent.live--
 		t.frames.FreeFrame(n.pfn)
+		nodePool.Put(n)
 	}
 }
 
@@ -548,7 +566,7 @@ func (t *Table) SplitHuge(baseVPN arch.VPN) error {
 	if err != nil {
 		return fmt.Errorf("pagetable: allocating PT for split: %w", err)
 	}
-	pt := &node{pfn: pfn}
+	pt := newNode(pfn)
 	for i := 0; i < fanout; i++ {
 		pt.ptes[i] = arch.PTE{PFN: pte.PFN + arch.PFN(i), Attr: pte.Attr}
 	}
@@ -596,21 +614,37 @@ func (t *Table) each(n *node, level int, prefix arch.VPN, fn func(arch.Translati
 	return true
 }
 
-// Release frees every table frame (the process exited). The leaf data
-// frames are the VM layer's responsibility.
-func (t *Table) Release() {
+// Release frees every table frame (the process exited) and recycles
+// the nodes. The leaf data frames are the VM layer's responsibility.
+// The table is unusable afterwards: mapping, walking or looking up
+// panics. A second Release, or a Release after Recycle, does nothing.
+func (t *Table) Release() { t.drop(true) }
+
+// Recycle returns every node to the pool for the next table, without
+// freeing any table frame: the frame source is being discarded whole,
+// as when a finished job releases its system. The table is unusable
+// afterwards, as after Release.
+func (t *Table) Recycle() { t.drop(false) }
+
+func (t *Table) drop(freeFrames bool) {
+	if t.root == nil {
+		return
+	}
 	t.dirty()
-	t.release(t.root, 0)
+	t.release(t.root, 0, freeFrames)
 	t.root, t.hint = nil, nil
 }
 
-func (t *Table) release(n *node, level int) {
+func (t *Table) release(n *node, level int, freeFrames bool) {
 	if level < LeafLevel {
 		for _, c := range n.children {
 			if c != nil {
-				t.release(c, level+1)
+				t.release(c, level+1, freeFrames)
 			}
 		}
 	}
-	t.frames.FreeFrame(n.pfn)
+	if freeFrames {
+		t.frames.FreeFrame(n.pfn)
+	}
+	nodePool.Put(n)
 }

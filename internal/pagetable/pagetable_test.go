@@ -357,6 +357,47 @@ func TestReleaseFreesEverything(t *testing.T) {
 	}
 }
 
+// TestReleasedTablePanicsOnUse covers both ways a table hands its nodes
+// back: Release frees its table frames (process exit), Recycle leaves
+// them to whoever discards the frame source (a released system).
+// Either way the table is unusable afterwards, and a second Release or
+// Recycle does nothing (counterFrames panics on a second free).
+func TestReleasedTablePanicsOnUse(t *testing.T) {
+	for _, recycle := range []bool{false, true} {
+		tbl, fs := newTable(t)
+		for i := 0; i < 100; i++ {
+			if err := tbl.Map(arch.VPN(i*1000), basePTE(arch.PFN(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := len(fs.live)
+		if recycle {
+			tbl.Recycle()
+			if len(fs.live) != held {
+				t.Fatalf("Recycle freed %d table frames", held-len(fs.live))
+			}
+		} else {
+			tbl.Release()
+		}
+		tbl.Release()
+		tbl.Recycle()
+		mustPanic(t, "Map", func() { tbl.Map(7, basePTE(7)) })
+		mustPanic(t, "Walk", func() { tbl.Walk(0) })
+		mustPanic(t, "Lookup", func() { tbl.Lookup(0) })
+	}
+}
+
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s on a released table did not panic", what)
+		}
+	}()
+	fn()
+}
+
 // TestPropertyMapResolve checks get-after-set over random sparse VPN
 // sets against a reference map.
 func TestPropertyMapResolve(t *testing.T) {

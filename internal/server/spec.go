@@ -122,6 +122,9 @@ func Canonicalize(spec Spec, reg []experiments.NamedExperiment) (CanonicalJob, e
 	if spec.Frames < 0 {
 		return CanonicalJob{}, fmt.Errorf("frames must be >= 0, got %d", spec.Frames)
 	}
+	if spec.Frames > experiments.MaxFrames {
+		return CanonicalJob{}, fmt.Errorf("frames must be at most %d (experiments.MaxFrames), got %d", experiments.MaxFrames, spec.Frames)
+	}
 	if spec.Scale < 0 {
 		return CanonicalJob{}, fmt.Errorf("scale must be >= 0, got %g", spec.Scale)
 	}

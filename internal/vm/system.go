@@ -86,6 +86,20 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
+// Release hands the system's frame arrays, buddy links and every live
+// process's page-table nodes back to their pools, so the next system
+// of the same size reuses them and pays only a clear. Call it when a
+// job is done with the system. The system and its processes are
+// unusable afterwards: allocating, faulting or walking panics. Stats
+// stay readable, and a second Release does nothing.
+func (s *System) Release() {
+	for _, p := range s.Processes() {
+		p.Table.Recycle()
+	}
+	s.Buddy.Release()
+	s.Phys.Release()
+}
+
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 

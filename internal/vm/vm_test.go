@@ -406,3 +406,43 @@ func TestSystemProcessesOrder(t *testing.T) {
 		t.Fatal("exit not reflected")
 	}
 }
+
+// TestReleasedSystemPanicsOnUse: Release hands the frame arrays, buddy
+// links and page-table nodes to the next system, so the released
+// system and its processes must panic on use instead of touching state
+// another system now owns. A second Release does nothing, and stats
+// stay readable.
+func TestReleasedSystemPanicsOnUse(t *testing.T) {
+	s := newSys(t, 1<<12, true, mm.CompactionNormal)
+	p, err := s.NewProcess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := p.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := s.Buddy.Stats().Allocs
+	s.Release()
+	s.Release()
+	if s.Buddy.Stats().Allocs != allocs {
+		t.Fatalf("buddy stats after Release = %+v", s.Buddy.Stats())
+	}
+	for _, c := range []struct {
+		what string
+		fn   func()
+	}{
+		{"NewProcess", func() { s.NewProcess() }},
+		{"Malloc", func() { p.Malloc(1) }},
+		{"Resolve", func() { p.Resolve(r.Base) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released system did not panic", c.what)
+				}
+			}()
+			c.fn()
+		}()
+	}
+}
