@@ -99,9 +99,11 @@ cluster-smoke:
 
 # Statement-coverage gate: each package listed in .coverage-floor (the
 # observability stack, the OS memory model and its vm layer, the
-# cluster layer, the fault core, the page table, the data caches, and
-# the load generator with its coltload command) must meet its
-# checked-in minimum.
+# cluster layer, the fault core, the page table, the data caches, the
+# load generator with its coltload command, the TLB structures
+# (internal/core), the page walker (internal/mmu) and the serving
+# layer's spec boundary (internal/server)) must meet its checked-in
+# minimum.
 cover:
 	@set -e; \
 	while read -r pkg floor; do \

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -56,7 +57,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "use small quick-run settings")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"concurrent (benchmark × setup) jobs; results are identical for every value")
-		scale      = flag.Float64("scale", 0, "override workload footprint scale")
+		scale      = flag.Float64("scale", 0, fmt.Sprintf("override workload footprint scale (at most %d)", experiments.MaxScale))
 		refs       = flag.Int("refs", 0, "override measured references per benchmark")
 		frames     = flag.Int("frames", 0, fmt.Sprintf("override physical memory frames (at most %d)", experiments.MaxFrames))
 		seed       = flag.Uint64("seed", 0, "override RNG seed")
@@ -78,6 +79,10 @@ func main() {
 		opts = experiments.QuickOptions()
 	}
 	opts.Parallel = *parallel
+	if math.IsNaN(*scale) || *scale > experiments.MaxScale {
+		fmt.Fprintf(os.Stderr, "experiments: -scale must be at most %d, got %g\n", experiments.MaxScale, *scale)
+		os.Exit(2)
+	}
 	if *scale > 0 {
 		opts.Scale = *scale
 	}

@@ -7,25 +7,29 @@
 // level directly.
 //
 // The per-level state is laid out data-oriented rather than as a
-// slice of line structs: each line's whole metadata is one uint64 word
-// (tag and dirty bit in the low half, LRU recency in the high half) in
-// a single lane blocked by set, so a probe is one load per way over
-// adjacent memory and the miss path's victim scan rereads the words
-// the probe just pulled into the host cache. This level sits on the simulator's per-reference hot path
-// (every data reference and every PTE fetch of every TLB variant
+// slice of line structs: each line's tag and dirty bit are one uint32
+// word in a tag lane blocked by set, so a probe is one load per way
+// over adjacent memory, and each set's whole LRU order is one uint64
+// word in an order lane. A hit moves its way to the top of that word
+// and a miss takes the bottom way as its victim, so neither scans for
+// recency, and no cache-wide clock exists. A set's state is therefore
+// its ways' tag words plus its order word, which is what lets the
+// shared front (front.go) copy one set from a shared LLC into each
+// variant's LLC. This level sits on the simulator's per-reference hot
+// path (every data reference and every PTE fetch of every TLB variant
 // lands here), so its probe cost multiplies across millions of
 // references.
 //
 // Building the lanes is also a fixed cost of every simulation job:
-// each variant's 4 MB LLC alone is 65536 metadata words. An empty
-// line is therefore the zero word, and a level takes its lane from a
-// per-size pool (Release hands it back), so a job's levels reuse the
-// lanes of the job before and pay only a clear.
+// a 4 MB LLC alone is 65536 tag words. An empty line is therefore the
+// zero tag word and the fresh order the zero order word, and a level
+// takes its lanes from per-size pools (Release hands them back), so a
+// job's levels reuse the lanes of the job before and pay only a clear.
 package cache
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"colt/internal/arch"
 	"colt/internal/pool"
@@ -58,52 +62,63 @@ type Stats struct {
 	Writebacks uint64
 }
 
-// Line-metadata encoding. Each line is one uint64 word in the fused
-// meta lane: the low half holds the line's tag plus one in its low 31
-// bits and the dirty bit above them, the high half the LRU recency
-// tick, with recency 0 reserved to mean "never filled", i.e. invalid —
-// lines are only ever filled, never invalidated, so the encoding is
-// stable. An empty line is the zero word: its stored tag 0 matches no
-// real line (they store tag+1 ≥ 1), so a hit scan needs no separate
-// valid check and a fresh lane is just a cleared one. Folding valid
-// into recency and dirty into the tag removes every other lane: a
-// probe is a single load and mask per way, a hit's recency update a
-// single store, and the whole metadata footprint is 8 bytes per line —
-// which is what matters when several variants' multi-megabyte LLCs
-// thrash the host cache.
+// Line-state encoding.
+//
+// A tag word holds the line's tag plus one in its low 31 bits and the
+// dirty bit above them. An empty line is the zero word: its stored tag
+// 0 matches no real line (they store tag+1 ≥ 1), so a hit scan needs
+// no separate valid check and a fresh lane is just a cleared one.
+//
+// A set's order word lists its ways by recency: nibble i is the way at
+// rank i, rank 0 the least recently used and rank ways−1 the most
+// recently used. The lane stores the word XOR the identity permutation
+// (nibble i = i), so a cleared word is the fresh order 0, 1, …,
+// ways−1. Lines are only ever filled, never invalidated, so ways that
+// were never filled stay at the bottom of the order, lowest index
+// first: a miss's victim, nibble 0, is the first never-filled way, or
+// else the least recently used line — the exact-LRU policy a per-line
+// clock scan computes.
 const (
 	dirtyBit uint32 = 1 << 31
 	tagMask  uint32 = dirtyBit - 1
-	// maxTick is the renormalization threshold: when the 32-bit LRU
-	// clock would reach it, ticks are compressed rank-preservingly so
-	// exact-LRU ordering survives arbitrarily long runs.
-	maxTick uint32 = ^uint32(0) - 1
+
+	// maxWays is the most ways a 64-bit order word can rank, at one
+	// nibble each.
+	maxWays = 16
+	// nibbleOnes has a 1 in every nibble; j*nibbleOnes repeats way j
+	// across the word, and the zero-nibble test finds j's rank.
+	nibbleOnes uint64 = 0x1111111111111111
+	nibbleHigh uint64 = 0x8888888888888888
 )
 
-// lanes pools metadata lanes by line count (the paper's levels have
-// 512, 4096 and 65536 lines). New takes one, cleared; a pool miss, or a
-// line count that is not a power of two, allocates. Because the empty
-// line is the zero word, whether a lane came from the pool never
+// tagLanes and orderLanes pool the line and order lanes by length (the
+// paper's levels have 512, 4096 and 65536 lines). New takes one of
+// each, cleared; a pool miss, or a length that is not a power of two,
+// allocates. Because the empty line is the zero tag word and the fresh
+// order the zero order word, whether a lane came from the pool never
 // changes what a level computes.
-var lanes pool.Slices[uint64]
+var (
+	tagLanes   pool.Slices[uint32]
+	orderLanes pool.Slices[uint64]
+)
 
-// Cache is one set-associative level backed by a lower Level. Line
-// metadata lives in one fused lane, blocked by set: ways tag words
-// followed by ways recency words, contiguous per set, so a probe's
-// tag scan and the miss path's victim scan read adjacent memory.
+// Cache is one set-associative level backed by a lower Level.
 type Cache struct {
 	cfg      Config
 	sets     int
 	setShift uint // log2(sets), precomputed off the probe path
 	ways     int
+	top      uint   // 4*(ways-1): the bit offset of the top rank's nibble
+	ident    uint64 // the identity order, nibble i = i for i < ways
 	hitLat   int
 
-	// meta holds, for each set s, the block meta[s*ways : (s+1)*ways]:
-	// one tag|dirty|recency word per way, so a probe's tag scan, its
-	// hit-path recency update, and the miss path's victim scan all
-	// touch the same adjacent words. It comes from lanes; Release
-	// returns it and nils it.
-	meta []uint64
+	// tags holds, for each set s, the block tags[s*ways : (s+1)*ways]:
+	// one tag|dirty word per way, so a probe's tag scan touches
+	// adjacent words. order holds one order word per set (see the
+	// line-state encoding). Both come from the pools; Release returns
+	// them and nils them.
+	tags  []uint32
+	order []uint64
 
 	next Level
 	// Devirtualized next-level pointers: the common chain is
@@ -113,18 +128,18 @@ type Cache struct {
 	nextCache *Cache
 	nextMem   *Memory
 
-	tick  uint32
 	stats Stats
 }
 
 // New builds a cache level on top of next. Size must be a multiple of
-// ways × line size, and the set count must be a power of two.
+// ways × line size, the set count must be a power of two, and a set
+// has at most 16 ways.
 func New(cfg Config, next Level) *Cache {
 	if next == nil {
 		panic("cache: nil next level")
 	}
 	linesTotal := cfg.SizeBytes / arch.CacheLineSize
-	if linesTotal <= 0 || cfg.Ways <= 0 || linesTotal%cfg.Ways != 0 {
+	if linesTotal <= 0 || cfg.Ways <= 0 || cfg.Ways > maxWays || linesTotal%cfg.Ways != 0 {
 		panic(fmt.Sprintf("cache %s: bad geometry size=%d ways=%d", cfg.Name, cfg.SizeBytes, cfg.Ways))
 	}
 	sets := linesTotal / cfg.Ways
@@ -136,9 +151,14 @@ func New(cfg Config, next Level) *Cache {
 		sets:     sets,
 		setShift: uintLog2(sets),
 		ways:     cfg.Ways,
+		top:      4 * uint(cfg.Ways-1),
 		hitLat:   cfg.HitLatency,
-		meta:     lanes.Get(linesTotal),
+		tags:     tagLanes.Get(linesTotal),
+		order:    orderLanes.Get(sets),
 		next:     next,
+	}
+	for i := range cfg.Ways {
+		c.ident |= uint64(i) << (4 * uint(i))
 	}
 	switch n := next.(type) {
 	case *Cache:
@@ -149,17 +169,18 @@ func New(cfg Config, next Level) *Cache {
 	return c
 }
 
-// Release returns the level's metadata lane to the pool for the next
-// level of its size. The level is unusable afterwards: its lane is
-// gone, so a later Access panics (slicing the nil lane) instead of
-// reading a lane another level now owns. Stats stays readable, and a
-// second Release is a no-op.
+// Release returns the level's lanes to the pools for the next level of
+// its size. The level is unusable afterwards: its lanes are gone, so a
+// later Access panics (slicing the nil lane) instead of reading a lane
+// another level now owns. Stats stays readable, and a second Release
+// is a no-op.
 func (c *Cache) Release() {
-	if c.meta == nil {
+	if c.tags == nil {
 		return
 	}
-	lanes.Put(c.meta)
-	c.meta = nil
+	tagLanes.Put(c.tags)
+	orderLanes.Put(c.order)
+	c.tags, c.order = nil, nil
 }
 
 // Name returns the level's configured name.
@@ -178,6 +199,19 @@ func (c *Cache) Stats() Stats {
 // ResetStats zeroes the counters (e.g. after warmup).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
+// setOf returns the set the line containing addr maps to.
+func (c *Cache) setOf(addr arch.PAddr) int {
+	return int(addr.Line()) & (c.sets - 1)
+}
+
+// copySet overwrites set s with src's set s: its ways' tag words and
+// its order word. src must have c's geometry.
+func (c *Cache) copySet(src *Cache, s int) {
+	block := s * c.ways
+	copy(c.tags[block:block+c.ways], src.tags[block:block+c.ways])
+	c.order[s] = src.order[s]
+}
+
 // fill services a miss from the next level (devirtualized when the
 // chain is the standard Cache/Memory stack).
 func (c *Cache) fill(addr arch.PAddr, write bool) int {
@@ -192,10 +226,6 @@ func (c *Cache) fill(addr arch.PAddr, write bool) int {
 
 // Access implements Level.
 func (c *Cache) Access(addr arch.PAddr, write bool) int {
-	if c.tick >= maxTick {
-		c.renormalize()
-	}
-	c.tick++
 	lineNo := addr.Line()
 	set := int(lineNo) & (c.sets - 1)
 	fullTag := lineNo >> c.setShift
@@ -206,51 +236,51 @@ func (c *Cache) Access(addr arch.PAddr, write bool) int {
 	block := set * c.ways
 
 	// Hit scan: one load and masked compare per way over the set's
-	// contiguous metadata words (invalid lines hold the zero word,
-	// whose stored tag no address produces); a hit folds its recency
-	// update and dirty-bit set into a single store. Victim selection
-	// is deferred to the miss path so hits pay nothing for it.
-	lane := c.meta[block : block+c.ways]
+	// contiguous tag words (empty lines hold the zero word, whose
+	// stored tag no address produces). Victim selection is deferred to
+	// the miss path so hits pay nothing for it.
+	lane := c.tags[block : block+c.ways]
 	for j := range lane {
-		if w := lane[j]; uint32(w)&tagMask == tag {
+		if w := lane[j]; w&tagMask == tag {
 			c.stats.Hits++
-			low := uint32(w)
 			if write {
-				low |= dirtyBit
+				lane[j] = w | dirtyBit
 			}
-			lane[j] = uint64(low) | uint64(c.tick)<<32
+			c.touch(set, uint64(j))
 			return c.hitLat
 		}
 	}
-	return c.miss(addr, write, block, set, tag)
+	return c.miss(addr, write, lane, set, tag)
 }
 
-// miss services a demand miss: victim selection, next-level fill, and
-// writeback accounting. Because an invalid line's recency half is 0
-// and every filled line's is a positive tick, the old ordering —
-// invalid ways first, then least-recently used, first-lowest wins —
-// collapses to a plain first-minimum scan over the recency halves of
-// the words the hit scan just loaded.
-func (c *Cache) miss(addr arch.PAddr, write bool, block, set int, tag uint32) int {
-	c.stats.Misses++
-	lane := c.meta[block : block+c.ways]
-	vi, min := 0, uint32(lane[0]>>32)
-	if min != 0 {
-		for j := 1; j < len(lane); j++ {
-			if r := uint32(lane[j] >> 32); r < min {
-				vi, min = j, r
-			}
-			// A never-filled way (recency 0) cannot be beaten — the
-			// old ordering takes the first invalid way — so the scan
-			// stops there.
-			if min == 0 {
-				break
-			}
-		}
+// touch moves way j to the top of set s's order. The zero-nibble test
+// on o ^ j*nibbleOnes flags the nibbles equal to j; borrows can only
+// flag nibbles above a true zero, so the lowest flag is j's rank. The
+// nibbles above that rank shift down one and j goes on top.
+func (c *Cache) touch(s int, j uint64) {
+	o := c.order[s] ^ c.ident
+	if o>>c.top == j {
+		return
 	}
+	x := o ^ j*nibbleOnes
+	flags := (x - nibbleOnes) &^ x & nibbleHigh
+	rank := uint(bits.TrailingZeros64(flags)) &^ 3 // bit offset of j's nibble
+	below := o & (1<<rank - 1)
+	o = below | o>>(rank+4)<<rank | j<<c.top
+	c.order[s] = o ^ c.ident
+}
+
+// miss services a demand miss: the victim is the bottom of the set's
+// order (see the line-state encoding), which rotates to the top, then
+// the next-level fill and writeback accounting.
+func (c *Cache) miss(addr arch.PAddr, write bool, lane []uint32, set int, tag uint32) int {
+	c.stats.Misses++
+	o := c.order[set] ^ c.ident
+	vi := o & 0xf
+	c.order[set] = (o>>4 | vi<<c.top) ^ c.ident
 
 	lat := c.hitLat + c.fill(addr, false)
-	if vt := uint32(lane[vi]); min != 0 {
+	if vt := lane[vi]; vt != 0 {
 		c.stats.Evictions++
 		if vt&dirtyBit != 0 {
 			c.stats.Writebacks++
@@ -260,36 +290,11 @@ func (c *Cache) miss(addr arch.PAddr, write bool, block, set int, tag uint32) in
 			c.fill(wbAddr, true)
 		}
 	}
-	low := tag
 	if write {
-		low |= dirtyBit
+		tag |= dirtyBit
 	}
-	lane[vi] = uint64(low) | uint64(c.tick)<<32
+	lane[vi] = tag
 	return lat
-}
-
-// renormalize compresses the LRU clock: every resident line's recency
-// half is remapped to its rank among all resident lines (ranks start
-// at 1; 0 keeps meaning invalid), and the tick restarts past the
-// highest rank. Ticks are unique per access, so rank order equals
-// tick order and exact-LRU victim selection is unchanged. Runs once
-// per ~4 billion accesses; cost is a sort over the line count.
-func (c *Cache) renormalize() {
-	type rec struct {
-		tick uint32
-		idx  int
-	}
-	live := make([]rec, 0, c.sets*c.ways)
-	for j := range c.meta {
-		if t := uint32(c.meta[j] >> 32); t != 0 {
-			live = append(live, rec{t, j})
-		}
-	}
-	sort.Slice(live, func(a, b int) bool { return live[a].tick < live[b].tick })
-	for rank, r := range live {
-		c.meta[r.idx] = uint64(uint32(c.meta[r.idx])) | uint64(rank+1)<<32
-	}
-	c.tick = uint32(len(live))
 }
 
 func uintLog2(n int) uint {
@@ -322,25 +327,32 @@ type Hierarchy struct {
 	L2  *Cache
 	LLC *Cache
 	Mem *Memory
+
+	// front is the Front this hierarchy is attached to, or nil (see
+	// (*Front).Attach).
+	front *Front
 }
 
 // The paper's level geometries (32 KB L1 / 256 KB L2 / 4 MB LLC,
-// Intel Core i7-like), shared by DefaultHierarchy and NewFront so the
-// split front/back wiring simulates the same machine.
+// Intel Core i7-like) and memory latency, shared by DefaultHierarchy
+// and NewFront so the split front/back wiring simulates the same
+// machine.
 func l1Config() Config  { return Config{Name: "L1", SizeBytes: 32 << 10, Ways: 8, HitLatency: 4} }
 func l2Config() Config  { return Config{Name: "L2", SizeBytes: 256 << 10, Ways: 8, HitLatency: 12} }
 func llcConfig() Config { return Config{Name: "LLC", SizeBytes: 4 << 20, Ways: 16, HitLatency: 30} }
 
+const memLatency = 200
+
 // DefaultHierarchy builds the paper's cache configuration.
 func DefaultHierarchy() *Hierarchy {
-	mem := &Memory{Latency: 200}
+	mem := &Memory{Latency: memLatency}
 	llc := New(llcConfig(), mem)
 	l2 := New(l2Config(), llc)
 	l1 := New(l1Config(), l2)
 	return &Hierarchy{L1: l1, L2: l2, LLC: llc, Mem: mem}
 }
 
-// Release returns every level's metadata lane to the pool (see
+// Release returns every level's lanes to the pools (see
 // (*Cache).Release); the hierarchy is unusable afterwards.
 func (h *Hierarchy) Release() {
 	h.L1.Release()
@@ -355,7 +367,12 @@ func (h *Hierarchy) DataAccess(addr arch.PAddr, write bool) int {
 }
 
 // WalkAccess services a page-walker PTE fetch, which enters at the LLC
-// (paper §4.1.1), and returns its latency.
+// (paper §4.1.1), and returns its latency. On a hierarchy attached to
+// a Front, the fetch first forks the set it lands in (see
+// (*Front).Attach).
 func (h *Hierarchy) WalkAccess(addr arch.PAddr) int {
+	if h.front != nil {
+		h.front.fork(h.LLC.setOf(addr))
+	}
 	return h.LLC.Access(addr, false)
 }

@@ -77,8 +77,9 @@ func TestResetStats(t *testing.T) {
 func TestBadGeometryPanics(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "x", SizeBytes: 0, Ways: 2},
-		{Name: "x", SizeBytes: 192, Ways: 2},  // 3 lines, not divisible
-		{Name: "x", SizeBytes: 1536, Ways: 2}, // 12 sets: not power of two... 1536/64=24/2=12
+		{Name: "x", SizeBytes: 192, Ways: 2},   // 3 lines, not divisible
+		{Name: "x", SizeBytes: 1536, Ways: 2},  // 12 sets: not power of two... 1536/64=24/2=12
+		{Name: "x", SizeBytes: 2176, Ways: 17}, // 2 sets, but one order word ranks at most 16 ways
 	} {
 		func() {
 			defer func() {

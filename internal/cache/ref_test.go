@@ -12,7 +12,7 @@ import (
 
 // refWay is one way of the reference cache model: explicit valid, tag,
 // dirty and last-use fields, with no encoding shared with the fused
-// meta lane.
+// tag and order lanes.
 type refWay struct {
 	valid, dirty bool
 	tag          uint64
@@ -137,18 +137,18 @@ func TestPropertyVsReferenceModel(t *testing.T) {
 		stream := refStream(int64(size+g.ways), g.sets, g.ways, 40000)
 		for _, reused := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%dx%d/reused=%v", g.sets, g.ways, reused), func(t *testing.T) {
-				var dirtied *uint64
+				var dirtied *uint32
 				if reused {
 					dirty := New(cfg, &Memory{Latency: 1})
 					for _, rq := range refStream(99, g.sets, g.ways, 4*g.sets*g.ways) {
 						dirty.Access(rq.addr, true)
 					}
-					dirtied = &dirty.meta[0]
+					dirtied = &dirty.tags[0]
 					dirty.Release()
 				}
 				rec := &recordingLevel{}
 				c := New(cfg, rec)
-				if reused && &c.meta[0] != dirtied {
+				if reused && &c.tags[0] != dirtied {
 					// 48-line lanes are not pooled, and under -race
 					// the pool drops items at random.
 					t.Log("this run took a fresh lane, not the dirtied one")
@@ -222,13 +222,15 @@ func TestReleasedLevelPanics(t *testing.T) {
 	c.Access(0, false)
 }
 
-// hierarchyDigest builds the paper's front and one private hierarchy,
-// drives a seeded stream of data accesses through the front with LLC
-// replay plus page-walker fetches, releases both, and returns every
-// level's statistics and the summed latency.
+// hierarchyDigest builds the paper's front with one attached
+// hierarchy, drives a seeded stream of data accesses through the front
+// plus page-walker fetches that fork the shared LLC's sets, releases
+// both, and returns every level's statistics and the summed latency.
 func hierarchyDigest(seed int64) [6]Stats {
 	r := rand.New(rand.NewSource(seed))
 	front, h := NewFront(), DefaultHierarchy()
+	front.Attach(h)
+	lats := make([]int, 1)
 	var total uint64
 	for i := 0; i < 30000; i++ {
 		addr := arch.PAddr(r.Int63n(64 << 20))
@@ -236,49 +238,13 @@ func hierarchyDigest(seed int64) [6]Stats {
 			total += uint64(h.WalkAccess(addr &^ 7))
 			continue
 		}
-		lat, events, _ := front.DataAccess(addr, r.Intn(4) == 0)
-		total += uint64(lat)
-		for _, e := range events {
-			total += uint64(h.LLC.Access(e.Addr, e.Write))
-		}
+		front.Access(addr, r.Intn(4) == 0, lats)
+		total += uint64(lats[0])
 	}
-	d := [6]Stats{front.L1.Stats(), front.L2.Stats(), h.L1.Stats(), h.L2.Stats(), h.LLC.Stats(), {Accesses: total}}
+	d := [6]Stats{front.L1.Stats(), front.L2.Stats(), front.llc.Stats(), h.LLC.Stats(), {Accesses: total}, {Accesses: h.Mem.Accesses()}}
 	front.Release()
 	h.Release()
 	return d
-}
-
-// TestRenormalizeKeepsLRU jumps a level's LRU clock to the
-// renormalization threshold mid-stream, so the next access compresses
-// every recency to its rank. Ranks keep the recency order, so the
-// level must go on matching the reference model access by access.
-func TestRenormalizeKeepsLRU(t *testing.T) {
-	const sets, ways = 8, 4
-	cfg := Config{Name: "renorm", SizeBytes: sets * ways * arch.CacheLineSize, Ways: ways, HitLatency: 3}
-	rec := &recordingLevel{}
-	c := New(cfg, rec)
-	defer c.Release()
-	m := newRefCache(sets, ways)
-	stream := refStream(17, sets, ways, 4000)
-	for i, rq := range stream {
-		if i == len(stream)/2 {
-			c.tick = maxTick
-		}
-		rec.reqs = rec.reqs[:0]
-		lat := c.Access(rq.addr, rq.write)
-		hit, want := m.access(rq.addr, rq.write)
-		wantLat := 3
-		if !hit {
-			wantLat += 100
-		}
-		if lat != wantLat || !slices.Equal(rec.reqs, want) {
-			t.Fatalf("access %d %+v: latency %d, next-level requests %+v; model %d, %+v",
-				i, rq, lat, rec.reqs, wantLat, want)
-		}
-	}
-	if c.tick >= maxTick || c.tick > uint32(len(stream)) {
-		t.Fatalf("clock %d: the level never renormalized", c.tick)
-	}
 }
 
 // TestConcurrentLaneReuse runs many hierarchies at once, each taking

@@ -62,6 +62,13 @@ func Setups() []SystemSetup {
 // refused up front.
 const MaxFrames = 1 << 22
 
+// MaxScale is the largest Options.Scale a caller outside the package
+// may ask for, on the same grounds as MaxFrames. The largest benchmark
+// at DefaultOptions is Mcf, with 500 + 40,000 × 3.4 = 136,500 pages per
+// unit of scale, so at this limit its footprint (~4.1M pages) still
+// fits within MaxFrames frames.
+const MaxScale = 30
+
 // Options controls simulation size. Defaults reproduce the paper at a
 // laptop-feasible scale; Quick shrinks everything for tests.
 type Options struct {
@@ -412,7 +419,9 @@ func contigRecord(bench string, setup SystemSetup, seed uint64, res contig.Resul
 }
 
 // simulator bundles one TLB variant's private state: its TLB hierarchy,
-// walker (with MMU cache), and cache hierarchy.
+// walker (with MMU cache), and cache hierarchy. The hierarchy is
+// attached to the job's front, which holds each of its LLC sets until
+// a walk forks them.
 type simulator struct {
 	name     string
 	hier     *core.Hierarchy
@@ -423,24 +432,6 @@ type simulator struct {
 	// tel is this variant's telemetry sink (nil when telemetry is
 	// off): event emission plus per-variant histograms.
 	tel *telemetry.Sink
-}
-
-// replayLLC applies the shared front's recorded LLC-bound requests to
-// this variant's private LLC in order, returning the demand fill's
-// latency (zero when the shared L1/L2 satisfied the demand access).
-// Writeback latencies are discarded, exactly as the in-cache writeback
-// path discards them.
-func (s *simulator) replayLLC(events []cache.LLCEvent, demandMiss bool) int {
-	llc := s.caches.LLC
-	lat := 0
-	if demandMiss {
-		lat = llc.Access(events[0].Addr, events[0].Write)
-		events = events[1:]
-	}
-	for i := range events {
-		llc.Access(events[i].Addr, events[i].Write)
-	}
-	return lat
 }
 
 // Shootdown implements vm.ShootdownHandler: OS events (unmap, migrate,
@@ -667,14 +658,17 @@ type benchSim struct {
 	hasPlane  bool
 	hasTracer bool
 
-	// front is the shared L1/L2 data-cache pair. Every variant
-	// translates the same reference stream to the same physical
-	// addresses (the page table is common; step checks the
+	// front is the shared L1/L2 data-cache pair and the shared LLC.
+	// Every variant translates the same reference stream to the same
+	// physical addresses (the page table is common; step checks the
 	// translations agree), so the L1/L2 state evolution is identical
-	// across variants and is simulated once per reference. Only each
-	// variant's private LLC — perturbed by its own walker's PTE
-	// fetches — replays the front's recorded LLC-bound requests.
+	// across variants and is simulated once per reference. Every
+	// variant's cache hierarchy is attached to it: an LLC set lives in
+	// the shared LLC until some variant's walk touches it, and in the
+	// variants' private LLCs after. lats receives each variant's
+	// per-reference data latency from the front.
 	front *cache.Front
+	lats  []int
 }
 
 // newBenchSim boots the system, fragments it, builds the workload, and
@@ -714,6 +708,7 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 		hasPlane:   plane != nil,
 		hasTracer:  tracer != nil,
 		front:      cache.NewFront(),
+		lats:       make([]int, len(variants)),
 	}
 	telemetryOn := opts.telemetryOn()
 	if telemetryOn {
@@ -721,6 +716,7 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 	}
 	for i, v := range variants {
 		caches := cache.DefaultHierarchy()
+		b.front.Attach(caches)
 		walker := mmu.NewWalker(proc.Table, caches, mmu.NewWalkCache(mmu.DefaultWalkCacheEntries))
 		b.sims[i] = &simulator{
 			name:   v.Name,
@@ -789,35 +785,28 @@ func (b *benchSim) step(ref int) error {
 			return fmt.Errorf("%s: reference to unmapped vpn %d", b.spec.Name, vpn)
 		}
 	}
-	var (
-		frontLat   int
-		events     []cache.LLCEvent
-		demandMiss bool
-		pfn0       arch.PFN
-	)
+	// Every variant probes (and walks) before the front sees the
+	// reference's data access, as each variant's translation precedes
+	// its own data access; the front never sees walks, so running it
+	// once after all the probes changes no variant's result.
+	var pfn0 arch.PFN
 	for vi, s := range b.sims {
 		res := s.hier.Access(vpn)
 		if res.Fault {
 			return fmt.Errorf("%s/%s: fault at vpn %d", b.spec.Name, s.name, vpn)
 		}
-		// The first variant's translation drives the shared L1/L2
-		// front; every other variant must translate identically (they
-		// cache the same page table) and only replays the recorded
-		// LLC-bound traffic against its private LLC.
+		// The first variant's translation drives the shared front;
+		// every other variant must translate identically (they cache
+		// the same page table).
 		if vi == 0 {
 			pfn0 = res.PFN
-			paddr := res.PFN.Addr() + arch.PAddr(va.Offset())
-			frontLat, events, demandMiss = b.front.DataAccess(paddr, write)
 		} else if res.PFN != pfn0 {
 			return fmt.Errorf("%s/%s: translation diverges at vpn %d", b.spec.Name, s.name, vpn)
 		}
-		// Most references are satisfied inside the shared L1/L2 and
-		// record no LLC-bound requests; skip the replay call for those.
-		lat := frontLat
-		if len(events) != 0 {
-			lat += s.replayLLC(events, demandMiss)
-		}
-		if lat > l1HitLatency {
+	}
+	b.front.Access(pfn0.Addr()+arch.PAddr(va.Offset()), write, b.lats)
+	for i, s := range b.sims {
+		if lat := b.lats[i]; lat > l1HitLatency {
 			s.memStall += uint64(lat - l1HitLatency)
 		}
 	}

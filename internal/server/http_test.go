@@ -257,6 +257,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"refs ceiling", "POST", "/v1/jobs", `{"experiment": "stub", "refs": 1000}`, http.StatusTooManyRequests, "ceiling"},
 		{"NaN fault rate", "POST", "/v1/jobs", `{"experiment": "stub", "faults": "all=NaN"}`, http.StatusBadRequest, "outside [0, 1]"},
 		{"frames ceiling", "POST", "/v1/jobs", `{"experiment": "stub", "quick": true, "frames": 17179869184}`, http.StatusBadRequest, "frames must be at most 4194304"},
+		{"scale ceiling", "POST", "/v1/jobs", `{"experiment": "stub", "quick": true, "scale": 1e7}`, http.StatusBadRequest, "scale must be at most 30"},
 		{"unknown job", "GET", "/v1/jobs/j999999", "", http.StatusNotFound, "unknown job"},
 		{"unknown job report", "GET", "/v1/jobs/j999999/report", "", http.StatusNotFound, "unknown job"},
 		{"unknown job cancel", "DELETE", "/v1/jobs/j999999", "", http.StatusNotFound, "unknown job"},

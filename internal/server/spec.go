@@ -128,6 +128,9 @@ func Canonicalize(spec Spec, reg []experiments.NamedExperiment) (CanonicalJob, e
 	if spec.Scale < 0 {
 		return CanonicalJob{}, fmt.Errorf("scale must be >= 0, got %g", spec.Scale)
 	}
+	if !(spec.Scale <= experiments.MaxScale) { // NaN fails too
+		return CanonicalJob{}, fmt.Errorf("scale must be at most %d (experiments.MaxScale), got %g", experiments.MaxScale, spec.Scale)
+	}
 	if spec.Refs < 0 {
 		return CanonicalJob{}, fmt.Errorf("refs must be >= 0, got %d", spec.Refs)
 	}
