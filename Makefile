@@ -77,10 +77,13 @@ chaos:
 chaos-serve:
 	./scripts/chaos_serve.sh
 
-# A short buddy-allocator fuzz run with the free-list auditor asserted
-# after every operation (CI runs the corpus only, via `make test`).
+# Short buddy-allocator fuzz runs with the free-list auditor asserted
+# after every operation: random alloc/free/compact histories, then the
+# bulk calls (AllocPages, run-wise FreeRange) against their one-frame
+# twins (CI runs the corpora only, via `make test`).
 fuzz-buddy:
 	$(GO) test ./internal/mm -run '^$$' -fuzz FuzzBuddyAllocFree -fuzztime 30s
+	$(GO) test ./internal/mm -run '^$$' -fuzz FuzzBuddyBulkMatchesSequential -fuzztime 30s
 
 # Serve-path smoke: boot coltd on an ephemeral port, submit a quick
 # table1 job, assert the identical resubmission is a byte-identical

@@ -44,9 +44,10 @@ type SubblockTLB struct {
 	entries []sbEntry
 	tick    uint64
 	stats   TLBStats
-	// Rejected counts fills that could not share an entry because the
-	// physical frame was misaligned — the cost of the alignment
-	// restriction.
+	// rejected counts fills that met an entry for their virtual block
+	// but could not share it because the physical frame was misaligned
+	// — the cost of the alignment restriction. A fill counts at most
+	// once, however many such entries it meets.
 	rejected uint64
 }
 
@@ -69,7 +70,7 @@ func NewSubblockTLB(sets, ways int) *SubblockTLB {
 // Stats returns a snapshot of the counters.
 func (t *SubblockTLB) Stats() TLBStats { return t.stats }
 
-// Rejected counts alignment-rejected sharing attempts.
+// Rejected counts alignment-rejected fills.
 func (t *SubblockTLB) Rejected() uint64 { return t.rejected }
 
 // ResetStats zeroes the counters.
@@ -116,6 +117,7 @@ func (t *SubblockTLB) Insert(vpn arch.VPN, pfn arch.PFN, attr arch.Attr) (evicte
 	t.stats.Fills++
 	base := set * t.ways
 	victim := base
+	rejected := false
 	for i := 0; i < t.ways; i++ {
 		e := &t.entries[base+i]
 		if e.valid && e.tag == tag {
@@ -133,11 +135,14 @@ func (t *SubblockTLB) Insert(vpn arch.VPN, pfn arch.PFN, attr arch.Attr) (evicte
 				*e = sbEntry{valid: true, tag: tag, vbits: 1 << off, blockPFN: blockPFN, attr: attr, lru: t.tick}
 				return 0, false
 			}
-			t.rejected++
+			rejected = true
 		}
 		if lessSBLRU(&t.entries[base+i], &t.entries[victim]) {
 			victim = base + i
 		}
+	}
+	if rejected {
+		t.rejected++
 	}
 	v := &t.entries[victim]
 	if v.valid {

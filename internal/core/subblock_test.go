@@ -49,6 +49,28 @@ func TestSubblockMisalignedCannotShare(t *testing.T) {
 	}
 }
 
+// TestSubblockRejectsOncePerFill: a fill that meets two same-tag
+// entries it cannot share counts one rejection, not one per entry.
+func TestSubblockRejectsOncePerFill(t *testing.T) {
+	tlb := NewSubblockTLB(8, 4)
+	// Two entries for virtual block 100..103, each on a different
+	// aligned physical block.
+	tlb.Insert(100, 400, testAttr)
+	tlb.Insert(101, 801, testAttr)
+	before := tlb.Rejected()
+	// A third physical block for offset 2 shares with neither.
+	tlb.Insert(102, 1202, testAttr)
+	if got := tlb.Rejected() - before; got != 1 {
+		t.Fatalf("one fill meeting two non-sharing entries counted %d rejections", got)
+	}
+	if tlb.Occupied() != 3 {
+		t.Fatalf("Occupied = %d, want 3 separate entries", tlb.Occupied())
+	}
+	if tlb.Rejected() > tlb.Stats().Fills {
+		t.Fatalf("%d rejections over %d fills", tlb.Rejected(), tlb.Stats().Fills)
+	}
+}
+
 func TestSubblockRemapReplacesStaleBit(t *testing.T) {
 	tlb := NewSubblockTLB(8, 4)
 	tlb.Insert(100, 400, testAttr)

@@ -191,6 +191,24 @@ func TestContiguityTimeline(t *testing.T) {
 	}
 }
 
+// TestSubblockRejectedPctIsAShare runs the subblock comparison at
+// GoldenOptions (the CLI's -quick -refs 20000): the align-rejected
+// column counts fills, so every row lies in [0, 100].
+func TestSubblockRejectedPctIsAShare(t *testing.T) {
+	rows, err := SubblockComparison(GoldenOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(workload.All()) {
+		t.Fatalf("%d rows, want %d", len(rows), len(workload.All()))
+	}
+	for _, r := range rows {
+		if r.RejectedPct < 0 || r.RejectedPct > 100 {
+			t.Errorf("%s: align-rejected %.2f%% outside [0, 100]", r.Bench, r.RejectedPct)
+		}
+	}
+}
+
 func TestSubblockComparisonSingleBench(t *testing.T) {
 	spec, _ := workload.ByName("Mcf")
 	variants := []Variant{

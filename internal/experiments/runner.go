@@ -388,6 +388,8 @@ func (b *BenchResult) MetricsRecord(seed uint64) metrics.Record {
 			L2MissRate:     v.TLB.L2MissRate(),
 			MemStallCycles: v.Run.MemStallCycles,
 			ModelCycles:    model.Cycles(v.Run),
+
+			SubblockRejectedPct: v.SubblockRejectedPct,
 		}
 		mv.Hists = v.Hists
 		if i == 0 {

@@ -165,6 +165,10 @@ type Variant struct {
 	// SpeedupPct is the modeled speedup over the record's baseline
 	// (first) variant; 0 for the baseline itself.
 	SpeedupPct float64 `json:"speedup_pct"`
+	// SubblockRejectedPct is the share of a partial-subblock TLB's
+	// fills that met an entry for their block but could not share it
+	// (absent for every other policy).
+	SubblockRejectedPct float64 `json:"subblock_rejected_pct,omitempty"`
 
 	// Hists holds the variant's distribution histograms (absent unless
 	// the run enabled histograms, keeping pre-histogram goldens
@@ -341,6 +345,7 @@ func (r *Report) CheckFinite() error {
 				"l1.translations_per_fill":  v.L1.TranslationsPerFill,
 				"l2.translations_per_fill":  v.L2.TranslationsPerFill,
 				"sup.translations_per_fill": v.Sup.TranslationsPerFill,
+				"subblock_rejected_pct":     v.SubblockRejectedPct,
 			}); err != nil {
 				return err
 			}

@@ -87,6 +87,7 @@ func TestStableJSONRejectsNonFinite(t *testing.T) {
 	for name, poison := range map[string]func(*Record){
 		"speedup-inf":  func(r *Record) { r.Variants[0].SpeedupPct = math.Inf(1) },
 		"hit-rate-nan": func(r *Record) { r.Variants[0].L1.HitRate = math.NaN() },
+		"rejected-nan": func(r *Record) { r.Variants[0].SubblockRejectedPct = math.NaN() },
 	} {
 		rec := sampleRecord("Mcf")
 		poison(&rec)

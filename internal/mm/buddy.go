@@ -38,13 +38,29 @@ func (r Run) End() arch.PFN { return r.Base + arch.PFN(r.Len) }
 
 // BuddyStats counts allocator activity.
 type BuddyStats struct {
-	Allocs       uint64
-	Frees        uint64
-	Splits       uint64
-	Merges       uint64
-	AllocFails   uint64
-	FragFails    uint64 // failures with free memory available (fragmentation)
-	RangeFallbck uint64 // AllocRange calls that returned multiple runs
+	// Allocs counts blocks handed out: one per AllocBlock and
+	// AllocSpecific success, and one per frame of AllocPages, so a bulk
+	// allocation counts exactly what as many AllocBlock(0) calls would.
+	Allocs uint64
+	// Frees counts FreeRange calls (FreeBlock included), not frames:
+	// returning a run of frames in one call counts once.
+	Frees uint64
+	// Splits counts block halvings: each split pushes one upper half
+	// onto a lower free list.
+	Splits uint64
+	// Merges counts buddy merges performed while freeing. Freeing a run
+	// whole merges its aligned pieces directly, so it performs fewer
+	// merges than freeing the same frames one at a time, although both
+	// leave the same free lists.
+	Merges uint64
+	// AllocFails counts failed allocations: vetoes by the fault hook,
+	// out-of-memory and fragmentation failures.
+	AllocFails uint64
+	// FragFails counts the failures that had enough free memory but no
+	// contiguous block of the requested order.
+	FragFails uint64
+	// RangeFallbck counts AllocRange calls that returned multiple runs.
+	RangeFallbck uint64
 }
 
 // Buddy is a Linux-style binary buddy allocator over a PhysMem
@@ -196,11 +212,25 @@ func (b *Buddy) LargestFreeOrder() int {
 func (b *Buddy) Stats() BuddyStats { return b.stats }
 
 // SetAllocFaultHook installs fn to run at the top of every AllocBlock
-// call (including those made by AllocRange): a non-nil return fails
-// the allocation with that error before any allocator state changes,
-// simulating memory pressure. nil uninstalls. The allocator stays
-// fault-agnostic — callers wire this to the fault plane.
+// call (including those made by AllocRange) and before every frame of
+// AllocPages: a non-nil return fails the allocation with that error
+// before any allocator state changes, simulating memory pressure. nil
+// uninstalls. The allocator stays fault-agnostic — callers wire this to
+// the fault plane.
 func (b *Buddy) SetAllocFaultHook(fn func(order int) error) { b.failAlloc = fn }
+
+// vetoed runs the fault hook for one allocation of the given order,
+// counting a veto as a failed allocation.
+func (b *Buddy) vetoed(order int) error {
+	if b.failAlloc == nil {
+		return nil
+	}
+	err := b.failAlloc(order)
+	if err != nil {
+		b.stats.AllocFails++
+	}
+	return err
+}
 
 // AllocBlock allocates one naturally-aligned block of 2^order frames,
 // splitting a larger block if needed (Figure 2's walk up the free
@@ -213,11 +243,8 @@ func (b *Buddy) AllocBlock(order int) (arch.PFN, error) {
 	if b.orderOf == nil {
 		panic("mm: allocation from a released Buddy")
 	}
-	if b.failAlloc != nil {
-		if err := b.failAlloc(order); err != nil {
-			b.stats.AllocFails++
-			return 0, err
-		}
+	if err := b.vetoed(order); err != nil {
+		return 0, err
 	}
 	k := order
 	for k < MaxOrder && b.freeHead[k] == 0 {
@@ -243,6 +270,80 @@ func (b *Buddy) AllocBlock(order int) (arch.PFN, error) {
 	b.markAllocated(pfn, 1<<order)
 	b.stats.Allocs++
 	return pfn, nil
+}
+
+// AllocPages fills out with frames exactly as len(out) successive
+// AllocBlock(0) calls would, in one call: the same frames in the same
+// order, the same free lists left behind, and the same Allocs, Splits
+// and AllocFails. It is the bulk path of a run of demand faults.
+//
+// Each frame pops the order-0 free list when it is not empty (LIFO, as
+// AllocBlock does). Otherwise the smallest free block, of order k,
+// drains front to back: AllocBlock(0) would split it and the next
+// allocations would take its halves in address order, because every
+// list below k is empty. After t frames of it, those splits leave
+// exactly the aligned decomposition of the untaken tail, at most one
+// block per order and each alone on its list, so pushing the tail in
+// one insertRange leaves the same lists; they cost k + Σ_{j=1}^{t-1}
+// trailing_zeros(j) = k + (t-1) - popcount(t-1) splits.
+//
+// The fault hook runs before every frame, where AllocBlock would run
+// it. On a veto AllocPages returns the frames taken so far with the
+// hook's error; when memory runs out it counts one failure and returns
+// them with ErrOutOfMemory. n is how many leading entries of out hold
+// frames.
+func (b *Buddy) AllocPages(out []arch.PFN) (n int, err error) {
+	if b.orderOf == nil {
+		panic("mm: allocation from a released Buddy")
+	}
+	for n < len(out) {
+		if err := b.vetoed(0); err != nil {
+			return n, err
+		}
+		if h := b.freeHead[0]; h != 0 {
+			pfn := arch.PFN(h - 1)
+			b.removeFree(pfn, 0)
+			b.markAllocated(pfn, 1)
+			b.stats.Allocs++
+			out[n] = pfn
+			n++
+			continue
+		}
+		k := 1
+		for k < MaxOrder && b.freeHead[k] == 0 {
+			k++
+		}
+		if k == MaxOrder {
+			b.stats.AllocFails++
+			return n, ErrOutOfMemory
+		}
+		base := arch.PFN(b.freeHead[k] - 1)
+		b.removeFree(base, k)
+		size := 1 << k
+		// The first frame's hook has run; each further frame runs its
+		// own before it is taken.
+		taken := 1
+		for taken < size && n+taken < len(out) {
+			if err = b.vetoed(0); err != nil {
+				break
+			}
+			taken++
+		}
+		b.markAllocated(base, taken)
+		for j := 0; j < taken; j++ {
+			out[n+j] = base + arch.PFN(j)
+		}
+		n += taken
+		b.stats.Allocs += uint64(taken)
+		b.stats.Splits += uint64(k + taken - 1 - bits.OnesCount(uint(taken-1)))
+		if taken < size {
+			b.insertRange(base+arch.PFN(taken), size-taken)
+		}
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // AllocRange allocates n contiguous frames when possible: it takes the
@@ -366,6 +467,12 @@ func (b *Buddy) FreeBlock(pfn arch.PFN, order int) {
 // munmap free arbitrary subranges). Freed frames are merged with their
 // buddies iteratively, the process that "leads to large amounts of
 // contiguity" (paper §3.2.1).
+//
+// It leaves the same free lists as freeing the frames one at a time in
+// ascending order. A block that a single free would push and a later
+// one merge away is unlinked from a doubly-linked list, which restores
+// the list as if it had never been pushed; the blocks that survive are
+// pushed in the order of their highest freed frame either way.
 func (b *Buddy) FreeRange(pfn arch.PFN, n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("mm: FreeRange length %d", n))

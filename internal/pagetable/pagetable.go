@@ -496,6 +496,39 @@ func (t *Table) Unmap(vpn arch.VPN) error {
 	return nil
 }
 
+// UnmapRun removes the present 4 KB mappings in [vpn, end), a nonempty
+// range inside one 512-page block, in ascending order, calling fn with
+// each page and the frame it mapped. It stops before the mapping whose
+// removal would empty the block's PT node and returns that mapping with
+// ok true, still mapped: Unmap removes it and prunes the emptied
+// tables. Every other removal leaves the node live, so nothing prunes
+// here. An absent PT node (a hole or a huge mapping) reports no pages.
+func (t *Table) UnmapRun(vpn, end arch.VPN, fn func(arch.VPN, arch.PFN)) (last arch.Translation, ok bool) {
+	t.dirty()
+	if end <= vpn || (end-1)>>bitsPerLevel != vpn>>bitsPerLevel {
+		panic(fmt.Sprintf("pagetable: UnmapRun [%d, %d) is empty or crosses a 512-page block", vpn, end))
+	}
+	leaf, level := t.leafNode(vpn)
+	if level != LeafLevel {
+		return arch.Translation{}, false
+	}
+	first := levelIndex(vpn, LeafLevel)
+	for i, pte := range leaf.ptes[first : first+int(end-vpn)] {
+		if !pte.Present() {
+			continue
+		}
+		page := vpn + arch.VPN(i)
+		if leaf.live == 1 {
+			return arch.Translation{VPN: page, PTE: pte}, true
+		}
+		leaf.ptes[first+i] = arch.PTE{}
+		leaf.live--
+		t.mappedBase--
+		fn(page, pte.PFN)
+	}
+	return arch.Translation{}, false
+}
+
 // UnmapHuge removes the 2 MB mapping at baseVPN.
 func (t *Table) UnmapHuge(baseVPN arch.VPN) error {
 	t.dirty()

@@ -3,6 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"log"
+	"maps"
+	"os"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"colt/internal/experiments"
@@ -51,6 +58,87 @@ func FuzzCanonicalize(f *testing.F) {
 		other, err := Canonicalize(spec, reg)
 		if err != nil || other.Hash != job.Hash {
 			t.Fatalf("%s: trace/deadline_ms changed the hash to %q (err %v), want %q", body, other.Hash, err, job.Hash)
+		}
+	})
+}
+
+// Journal replay fixtures: FuzzJournalReplay's sealed prefix accepts A
+// and B and commits A, so B alone is live before the tail.
+var (
+	journalHashA = strings.Repeat("a", 64)
+	journalHashB = strings.Repeat("b", 64)
+	journalSpecA = Spec{Experiment: "table1", Quick: true, Seed: 1}
+	journalSpecB = Spec{Experiment: "fig18", Quick: true, Seed: 2}
+)
+
+func sealedLine(t testing.TB, rec journalRecord) []byte {
+	t.Helper()
+	line, err := rec.sealed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
+// modelReplay is the journal's replay contract, applied to the tail's
+// lines after the prefix: a line counts only when it parses and its
+// checksum verifies; a counted accept needs a spec and a hash and
+// makes its hash live (first accept fixes the order); a counted commit
+// retires its hash; every other line is skipped.
+func modelReplay(tail []byte) (map[string]journalLive, []string) {
+	live := map[string]journalLive{journalHashB: {Spec: journalSpecB}}
+	order := []string{journalHashB}
+	for _, line := range bytes.Split(tail, []byte("\n")) {
+		var rec journalRecord
+		if line = bytes.TrimSpace(line); len(line) == 0 || json.Unmarshal(line, &rec) != nil || !rec.verify() {
+			continue
+		}
+		switch {
+		case rec.Op == "accept" && rec.Spec != nil && rec.Hash != "":
+			if _, ok := live[rec.Hash]; !ok {
+				order = append(order, rec.Hash)
+			}
+			live[rec.Hash] = journalLive{Spec: *rec.Spec, Trace: rec.Trace}
+		case rec.Op == "commit":
+			if _, ok := live[rec.Hash]; ok {
+				delete(live, rec.Hash)
+				order = slices.DeleteFunc(order, func(h string) bool { return h == rec.Hash })
+			}
+		}
+	}
+	return live, order
+}
+
+// FuzzJournalReplay appends arbitrary bytes to a sealed WAL prefix
+// (accept A, accept B, commit A) and replays the whole file.
+// replayBytes must never panic, and its live set and order must equal
+// modelReplay's: a torn, bit-flipped or unknown line changes nothing,
+// so committed job A comes back only through a verifying re-accept.
+// The seed corpus in testdata/fuzz/FuzzJournalReplay holds a torn
+// final line, a bit-flipped checksum, CRLF line ends, an unknown op,
+// an accept without a spec and a verifying re-accept of A.
+func FuzzJournalReplay(f *testing.F) {
+	var prefix []byte
+	for _, rec := range []journalRecord{
+		{Op: "accept", Hash: journalHashA, Spec: &journalSpecA},
+		{Op: "accept", Hash: journalHashB, Spec: &journalSpecB},
+		{Op: "commit", Hash: journalHashA},
+	} {
+		prefix = append(prefix, sealedLine(f, rec)...)
+	}
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		log.SetOutput(io.Discard)
+		defer log.SetOutput(os.Stderr)
+		jl := &Journal{live: make(map[string]journalLive)}
+		jl.replayBytes(append(slices.Clip(prefix), tail...))
+		live, order := modelReplay(tail)
+		if !slices.Equal(jl.order, order) || !maps.EqualFunc(jl.live, live, func(a, b journalLive) bool {
+			return a.Trace == b.Trace && reflect.DeepEqual(a.Spec, b.Spec)
+		}) {
+			t.Fatalf("tail %q: replay left order %v live %v, model %v %v", tail, jl.order, jl.live, order, live)
+		}
+		if int(jl.liveN.Load()) != len(live) {
+			t.Fatalf("tail %q: live counter %d, %d live", tail, jl.liveN.Load(), len(live))
 		}
 	})
 }

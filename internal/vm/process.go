@@ -38,6 +38,9 @@ type Region struct {
 	Pinned bool
 
 	proc *Process
+	// The three page sets start nil and are made by their first write:
+	// a nil map reads as empty, and most regions never write one.
+	//
 	// huge tracks the base VPNs currently mapped by a 2 MB PTE.
 	huge map[arch.VPN]bool
 	// freed marks pages released early by FreePages.
@@ -126,6 +129,22 @@ func (p *Process) MallocPinned(pages int) (*Region, error) {
 }
 
 func (p *Process) mmap(pages int, fileBacked, pinned bool) (*Region, error) {
+	r, err := p.newRegion(pages, fileBacked, pinned)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.populate(r); err != nil {
+		p.dropRegion(r)
+		return nil, err
+	}
+	p.sys.tick()
+	return r, nil
+}
+
+// newRegion places and registers an unpopulated region. Registering
+// comes before populating: concurrent daemon activity during the fault
+// stream (THP pressure splits, swap-out) must see the region.
+func (p *Process) newRegion(pages int, fileBacked, pinned bool) (*Region, error) {
 	if p.exited {
 		return nil, fmt.Errorf("vm: pid %d has exited", p.PID)
 	}
@@ -146,24 +165,20 @@ func (p *Process) mmap(pages int, fileBacked, pinned bool) (*Region, error) {
 		FileBacked: fileBacked,
 		Pinned:     pinned,
 		proc:       p,
-		huge:       make(map[arch.VPN]bool),
-		freed:      make(map[arch.VPN]bool),
-		swapped:    make(map[arch.VPN]bool),
 	}
-	// Register before populating: concurrent daemon activity during the
-	// fault stream (THP pressure splits, swap-out) must see the region.
 	p.nextVPN = base + arch.VPN(pages)
 	p.regions[r.ID] = r
 	p.regionOrder = append(p.regionOrder, r.ID)
 	p.nextRegionID++
-	if err := p.populate(r); err != nil {
-		p.teardown(r)
-		delete(p.regions, r.ID)
-		p.regionOrder = p.regionOrder[:len(p.regionOrder)-1]
-		return nil, err
-	}
-	p.sys.tick()
 	return r, nil
+}
+
+// dropRegion unregisters the newest region after its population
+// failed, releasing whatever populate managed to map.
+func (p *Process) dropRegion(r *Region) {
+	p.teardown(r)
+	delete(p.regions, r.ID)
+	p.regionOrder = p.regionOrder[:len(p.regionOrder)-1]
 }
 
 func (p *Process) thpEligible(fileBacked, pinned bool) bool {
@@ -173,6 +188,15 @@ func (p *Process) thpEligible(fileBacked, pinned bool) bool {
 // populate faults in every page of the region: a 2 MB-aligned fault in
 // a large-enough anonymous region first tries THP (which may invoke
 // direct compaction); everything else is an order-0 demand fault.
+//
+// The order-0 faults are served in runs, each ending before the next
+// background tick and at the end of its 512-page PT block. Reserve on a
+// run's first page builds the block's PT node, and nothing else runs
+// between the faults of a run, so its data frames are the only
+// allocations: one AllocPages takes them, exactly as the per-page path
+// (Reserve, allocPage, Map) would, and mapRun installs them. THP
+// attempts happen only at 512-aligned pages, which start a block and so
+// start a run.
 func (p *Process) populate(r *Region) error {
 	attr := AnonAttr
 	if r.FileBacked {
@@ -182,6 +206,7 @@ func (p *Process) populate(r *Region) error {
 	vpn := r.Base
 	remaining := r.Pages
 	faults := 0
+	var frames [faultTickPeriod]arch.PFN
 	for remaining > 0 {
 		// Large populations yield to concurrent system activity
 		// periodically, the way a real fault stream interleaves with
@@ -196,6 +221,9 @@ func (p *Process) populate(r *Region) error {
 				if err != nil {
 					return err
 				}
+				if r.huge == nil {
+					r.huge = make(map[arch.VPN]bool)
+				}
 				r.huge[vpn] = true
 				r.mapped += arch.PagesPerHuge
 				vpn += arch.PagesPerHuge
@@ -203,22 +231,53 @@ func (p *Process) populate(r *Region) error {
 				continue
 			}
 		}
-		// Table pages first, then the data frame, so consecutive
+		// Table pages first, then the data frames, so consecutive
 		// faults keep draining consecutive frames.
 		if err := p.Table.Reserve(vpn); err != nil {
 			return err
 		}
-		pfn, err := p.sys.allocPage()
+		run := min(remaining, faultTickPeriod-faults%faultTickPeriod, arch.PagesPerHuge-int(vpn%arch.PagesPerHuge))
+		got, err := p.sys.Buddy.AllocPages(frames[:run])
+		if err := p.mapRun(r, vpn, frames[:got], attr); err != nil {
+			return err
+		}
+		vpn += arch.VPN(got)
+		remaining -= got
+		faults += got - 1
+		if err == nil {
+			continue
+		}
+		if err != mm.ErrOutOfMemory {
+			return err
+		}
+		// Fault number got of the run found memory exhausted, and
+		// AllocPages has counted that failure: finish it as allocPage
+		// finishes a first attempt.
+		faults++
+		pfn, err := p.sys.reclaimAndRetry()
 		if err != nil {
 			return err
 		}
-		if err := p.Table.Map(vpn, arch.PTE{PFN: pfn, Attr: attr}); err != nil {
+		if err := p.mapRun(r, vpn, []arch.PFN{pfn}, attr); err != nil {
 			return err
 		}
-		p.sys.Phys.SetOwner(pfn, mm.PageOwner{PID: p.PID, VPN: vpn}, !r.Pinned)
-		r.mapped++
 		vpn++
 		remaining--
+	}
+	return nil
+}
+
+// mapRun maps r's pages from vpn to the just-faulted frames pfns, one
+// Map each (the leaf hint that Reserve left spares them the descent),
+// and records their owner.
+func (p *Process) mapRun(r *Region, vpn arch.VPN, pfns []arch.PFN, attr arch.Attr) error {
+	for i, pfn := range pfns {
+		page := vpn + arch.VPN(i)
+		if err := p.Table.Map(page, arch.PTE{PFN: pfn, Attr: attr}); err != nil {
+			return err
+		}
+		p.sys.Phys.SetOwner(pfn, mm.PageOwner{PID: p.PID, VPN: page}, !r.Pinned)
+		r.mapped++
 	}
 	return nil
 }
@@ -235,24 +294,52 @@ func (p *Process) teardown(r *Region) {
 	}
 }
 
-// Free releases the whole region.
+// Free releases the whole region, one PT block at a time in ascending
+// page order. A huge block goes through freeHugeBlock. A block of base
+// pages loses its mappings in one UnmapRun, and each ascending run of
+// consecutive frames goes back in one FreeRange, which leaves the free
+// lists exactly as freeing them one at a time in page order would.
+// Shootdowns commute with buddy frees, so each page raises its own as
+// it is unmapped. The page whose removal empties the block goes last,
+// through unmapBase, so the emptied table frames are freed after the
+// block's other data frames and before its own, as per-page unmapping
+// frees them.
 func (p *Process) Free(r *Region) error {
 	if p.regions[r.ID] != r {
 		return fmt.Errorf("vm: region %d not owned by pid %d", r.ID, p.PID)
 	}
-	for vpn := r.Base; vpn < r.End(); vpn++ {
-		if r.huge[vpn] {
-			p.freeHugeBlock(r, vpn)
-			vpn += arch.PagesPerHuge - 1
+	removed := 0
+	var run mm.Run
+	flush := func() {
+		if run.Len > 0 {
+			p.sys.Buddy.FreeRange(run.Base, run.Len)
+			run.Len = 0
+		}
+	}
+	unmapped := func(vpn arch.VPN, pfn arch.PFN) {
+		removed++
+		if run.Len == 0 || pfn != run.End() {
+			flush()
+			run.Base = pfn
+		}
+		run.Len++
+		p.sys.shootdown(p.PID, vpn)
+	}
+	for block := r.Base &^ (arch.PagesPerHuge - 1); block < r.End(); block += arch.PagesPerHuge {
+		if r.huge[block] {
+			p.freeHugeBlock(r, block)
 			continue
 		}
-		if r.Mapped(vpn) {
-			pte, ok := p.Table.Lookup(vpn)
-			if !ok {
-				panic(fmt.Sprintf("vm: region page %d not in table", vpn))
-			}
-			p.unmapBase(vpn, pte.PFN)
+		lo, hi := max(block, r.Base), min(block+arch.PagesPerHuge, r.End())
+		last, ok := p.Table.UnmapRun(lo, hi, unmapped)
+		flush()
+		if ok {
+			removed++
+			p.unmapBase(last.VPN, last.PTE.PFN)
 		}
+	}
+	if removed != r.mapped {
+		panic(fmt.Sprintf("vm: freeing region %d unmapped %d base pages, but %d were mapped", r.ID, removed, r.mapped))
 	}
 	delete(p.regions, r.ID)
 	p.sys.tick()
@@ -285,7 +372,7 @@ func (p *Process) FreePages(r *Region, off, n int) error {
 			// Swapped pages have no frame; freeing them just discards
 			// the swap slot.
 			delete(r.swapped, vpn)
-			r.freed[vpn] = true
+			r.markFreed(vpn)
 			continue
 		}
 		if !r.Mapped(vpn) {
@@ -296,11 +383,19 @@ func (p *Process) FreePages(r *Region, off, n int) error {
 			panic(fmt.Sprintf("vm: inconsistent mapping at %d", vpn))
 		}
 		p.unmapBase(vpn, pte.PFN)
-		r.freed[vpn] = true
+		r.markFreed(vpn)
 		r.mapped--
 	}
 	p.sys.tick()
 	return nil
+}
+
+// markFreed records vpn as released by FreePages.
+func (r *Region) markFreed(vpn arch.VPN) {
+	if r.freed == nil {
+		r.freed = make(map[arch.VPN]bool)
+	}
+	r.freed[vpn] = true
 }
 
 // unmapBase removes one base mapping, frees its frame, and raises a

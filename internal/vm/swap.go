@@ -85,6 +85,9 @@ func (p *Process) swapOutChunk(c swapChunk) int {
 			continue
 		}
 		p.unmapBase(vpn, pte.PFN)
+		if c.reg.swapped == nil {
+			c.reg.swapped = make(map[arch.VPN]bool)
+		}
 		c.reg.swapped[vpn] = true
 		c.reg.mapped--
 		evicted++

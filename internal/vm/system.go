@@ -226,10 +226,20 @@ func (s *System) splitHugeMapping(h mm.HugeAlloc) bool {
 // block — the contiguity source of paper §3.2.1.
 func (s *System) allocPage() (arch.PFN, error) {
 	pfn, err := s.Buddy.AllocBlock(0)
-	if err == mm.ErrOutOfMemory && s.reclaim(1) {
-		pfn, err = s.Buddy.AllocBlock(0)
+	if err == mm.ErrOutOfMemory {
+		return s.reclaimAndRetry()
 	}
 	return pfn, err
+}
+
+// reclaimAndRetry finishes a demand fault whose first order-0 attempt
+// found memory exhausted (and counted that failure): it asks the
+// reclaimers for memory and, if any was released, tries once more.
+func (s *System) reclaimAndRetry() (arch.PFN, error) {
+	if !s.reclaim(1) {
+		return 0, mm.ErrOutOfMemory
+	}
+	return s.Buddy.AllocBlock(0)
 }
 
 // reclaim asks registered reclaimers to free at least n pages; returns
