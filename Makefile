@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt tidy vet build test race golden golden-update bench-parallel bench-smoke chaos chaos-serve fuzz-buddy cover serve-smoke cluster-smoke
+.PHONY: check fmt tidy vet build test race golden golden-update bench-parallel bench-smoke chaos chaos-serve fuzz-buddy fuzz-serve cover serve-smoke cluster-smoke
 
 check: fmt tidy vet build test race golden
 
@@ -84,6 +84,16 @@ chaos-serve:
 fuzz-buddy:
 	$(GO) test ./internal/mm -run '^$$' -fuzz FuzzBuddyAllocFree -fuzztime 30s
 	$(GO) test ./internal/mm -run '^$$' -fuzz FuzzBuddyBulkMatchesSequential -fuzztime 30s
+
+# Short fuzz runs of the serving layer's untrusted inputs: submit
+# bodies through canonicalization (limits, hash stability, spelled-out
+# options), journal tails after a sealed prefix, and a cache directory
+# whose index, entry and sidecar are replaced by fuzzed bytes (nothing
+# unverified is served). CI runs the corpora only, via `make test`.
+fuzz-serve:
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzCanonicalize -fuzztime 30s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzJournalReplay -fuzztime 30s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzCacheOpen -fuzztime 30s
 
 # Serve-path smoke: boot coltd on an ephemeral port, submit a quick
 # table1 job, assert the identical resubmission is a byte-identical

@@ -29,18 +29,29 @@ var updateGoldens = flag.Bool("update", false, "rewrite the golden metrics JSON 
 // headline result), and Figure 20 (the associativity study). Together
 // they exercise every TLB policy, all five system setups, and the
 // contiguity scanner at a runtime small enough for every merge.
+// fig18-churn reruns Figure 18 with mid-run churn on, so the OS
+// activity DefaultOptions injects between references (shootdowns,
+// churn bursts) is pinned byte for byte too. tweak adjusts
+// GoldenOptions for one entry (nil: as is).
 var goldenExperiments = []struct {
-	name string
-	run  func(opts Options) error
+	name  string
+	tweak func(*Options)
+	run   func(opts Options) error
 }{
-	{"table1", func(o Options) error { _, err := Table1(o); return err }},
-	{"fig18", func(o Options) error { _, err := RunStandardEvaluation(o); return err }},
-	{"fig20", func(o Options) error { _, err := Figure20(o); return err }},
+	{"table1", nil, func(o Options) error { _, err := Table1(o); return err }},
+	{"fig18", nil, runFig18},
+	{"fig20", nil, func(o Options) error { _, err := Figure20(o); return err }},
+	{"fig18-churn", func(o *Options) { o.MidRunChurn = true }, runFig18},
 }
 
+func runFig18(o Options) error { _, err := RunStandardEvaluation(o); return err }
+
 // goldenReport runs one golden experiment and returns its stable JSON.
-func goldenReport(name string, run func(Options) error, parallel int) ([]byte, error) {
+func goldenReport(name string, tweak func(*Options), run func(Options) error, parallel int) ([]byte, error) {
 	opts := GoldenOptions()
+	if tweak != nil {
+		tweak(&opts)
+	}
 	opts.Parallel = parallel
 	opts.Metrics = metrics.NewCollector()
 	if err := run(opts); err != nil {
@@ -60,7 +71,7 @@ func TestGoldens(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			got, err := goldenReport(g.name, g.run, 1)
+			got, err := goldenReport(g.name, g.tweak, g.run, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +99,7 @@ func TestGoldens(t *testing.T) {
 			// The same run fanned out across eight workers must produce
 			// the identical report: scheduling order must never leak
 			// into results.
-			wide, err := goldenReport(g.name, g.run, 8)
+			wide, err := goldenReport(g.name, g.tweak, g.run, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -209,11 +209,20 @@ func (c *Cache) metaPath(key string) string {
 // the recorded hash. A missing, unreadable, or corrupted entry counts
 // as a miss (corruption is additionally counted and the entry
 // evicted) so the caller recomputes instead of serving bad bytes.
+func (c *Cache) Get(key string) ([]byte, bool) {
+	b, _, ok := c.GetSum(key)
+	return b, ok
+}
+
+// GetSum is Get that also returns the SHA-256 the bytes were verified
+// against. Callers label the bytes with it (X-Report-Sha256) instead
+// of looking the entry up again, which a concurrent eviction could
+// race.
 //
 // Only the index lookup holds the (read) lock; the file read and the
 // SHA-256 verification run lock-free. The memory overlay (memory
 // mode, or entries written while degraded) is checked first.
-func (c *Cache) Get(key string) ([]byte, bool) {
+func (c *Cache) GetSum(key string) ([]byte, string, bool) {
 	c.mu.RLock()
 	e, ok := c.entries[key]
 	var b []byte
@@ -223,13 +232,13 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.RUnlock()
 	if !ok {
 		c.misses.Add(1)
-		return nil, false
+		return nil, "", false
 	}
 	if b == nil {
 		if c.dir == "" {
 			// Memory mode promised an entry it no longer holds.
 			c.evictCorrupt(key, e.Sum)
-			return nil, false
+			return nil, "", false
 		}
 		var err error
 		b, err = c.fs.ReadFile(c.entryPath(key))
@@ -237,15 +246,15 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 			// The index promised an entry the disk no longer has:
 			// treat as corruption, evict, recompute.
 			c.evictCorrupt(key, e.Sum)
-			return nil, false
+			return nil, "", false
 		}
 	}
 	if metrics.Sum256Hex(b) != e.Sum {
 		c.evictCorrupt(key, e.Sum)
-		return nil, false
+		return nil, "", false
 	}
 	c.hits.Add(1)
-	return b, true
+	return b, e.Sum, true
 }
 
 // evictCorrupt drops a failed entry and counts it as both a
@@ -278,20 +287,28 @@ func (c *Cache) evictCorrupt(key, failedSum string) {
 // served — and the error is returned so the caller can feed its
 // circuit breaker. While degraded, Puts skip the disk entirely.
 func (c *Cache) Put(key, experiment string, b []byte) error {
+	_, err := c.PutSum(key, experiment, b)
+	return err
+}
+
+// PutSum is Put that also returns the SHA-256 it recorded for b — the
+// sum every later Get verifies against. The sum is returned even when
+// the disk write failed: the bytes are then served from the overlay.
+func (c *Cache) PutSum(key, experiment string, b []byte) (string, error) {
 	e := CacheEntry{Key: key, Experiment: experiment, Sum: metrics.Sum256Hex(b), Size: len(b)}
 	if c.dir == "" {
 		c.putOverlay(key, e, b)
-		return nil
+		return e.Sum, nil
 	}
 	if c.isDegraded() {
 		c.putOverlay(key, e, b)
 		c.degradedPuts.Add(1)
-		return nil
+		return e.Sum, nil
 	}
 	if err := c.writeEntryFiles(e, b); err != nil {
 		c.putOverlay(key, e, b)
 		c.degradedPuts.Add(1)
-		return err
+		return e.Sum, err
 	}
 	c.mu.Lock()
 	if _, existed := c.entries[key]; !existed {
@@ -303,7 +320,7 @@ func (c *Cache) Put(key, experiment string, b []byte) error {
 		c.overlayN.Add(-1)
 	}
 	c.mu.Unlock()
-	return nil
+	return e.Sum, nil
 }
 
 // putOverlay publishes an entry backed by memory only.

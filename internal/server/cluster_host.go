@@ -221,20 +221,18 @@ func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleClusterReport serves raw report bytes by spec hash for peer
-// fill. Get re-verifies the stored bytes before they leave this
-// node, and the response carries their SHA-256 for the fetching
-// side's own check — corruption cannot cross the wire unflagged in
-// either direction.
+// fill. The cache read re-verifies the stored bytes before they leave
+// this node, and the response carries the sum they verified against
+// for the fetching side's own check — corruption cannot cross the
+// wire unflagged in either direction.
 func (s *Server) handleClusterReport(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	b, ok := s.cache.Get(hash)
+	b, sum, ok := s.cache.GetSum(hash)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no cached report for %q", hash)
 		return
 	}
-	if e, ok := s.cache.Entry(hash); ok {
-		w.Header().Set(cluster.ReportShaHeader, e.Sum)
-	}
+	w.Header().Set(cluster.ReportShaHeader, sum)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(b)
 }

@@ -7,12 +7,14 @@ import (
 	"log"
 	"maps"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"colt/internal/experiments"
+	"colt/internal/metrics"
 )
 
 // FuzzCanonicalize feeds arbitrary submit bodies through the decode
@@ -22,9 +24,12 @@ import (
 // in [0, MaxFrames] and scale in [0, MaxScale], on the spec and on the
 // resolved options — with refs and retries non-negative. Its hash must
 // be stable across calls and ignore trace and deadline_ms, which never
-// change a report. The seed corpus in testdata/fuzz/FuzzCanonicalize
-// holds each limit and one past it, negative values, 1e308 and an
-// unknown field.
+// change a report. Spelling out the frames, scale and seed the spec
+// resolved to never changes the hash; spelling out its refs keeps the
+// hash exactly when refs/10 equals the resolved warmup, because a refs
+// field sets warmup to refs/10. The seed corpus in
+// testdata/fuzz/FuzzCanonicalize holds each limit and one past it,
+// negative values, 1e308 and an unknown field.
 func FuzzCanonicalize(f *testing.F) {
 	reg := experiments.Registry()
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -58,6 +63,100 @@ func FuzzCanonicalize(f *testing.F) {
 		other, err := Canonicalize(spec, reg)
 		if err != nil || other.Hash != job.Hash {
 			t.Fatalf("%s: trace/deadline_ms changed the hash to %q (err %v), want %q", body, other.Hash, err, job.Hash)
+		}
+		spelled := spec
+		spelled.Frames, spelled.Scale, spelled.Seed = o.Frames, o.Scale, o.Seed
+		if other, err := Canonicalize(spelled, reg); err != nil || other.Hash != job.Hash {
+			t.Fatalf("%s: spelling out frames %d, scale %g, seed %d changed the hash to %q (err %v), want %q",
+				body, o.Frames, o.Scale, o.Seed, other.Hash, err, job.Hash)
+		}
+		spelled.Refs = o.Refs
+		other, err = Canonicalize(spelled, reg)
+		if err != nil || (other.Hash == job.Hash) != (o.Refs/10 == o.Warmup) {
+			t.Fatalf("%s: spelling out refs %d (warmup %d) gave hash %q (err %v), base %q",
+				body, o.Refs, o.Warmup, other.Hash, err, job.Hash)
+		}
+	})
+}
+
+// Cache-open fixture: FuzzCacheOpen stores this report under this key
+// before replacing the entry's files with fuzzed bytes.
+var (
+	cacheFuzzKey    = strings.Repeat("c", 64)
+	cacheFuzzReport = []byte(`{"experiment":"stub","records":[]}` + "\n")
+)
+
+// FuzzCacheOpen seeds a cache directory with one real Put and a saved
+// index, replaces index.json, the entry's .json and its .meta.json
+// with fuzzed bytes, and reopens the cache. OpenCacheFS must not
+// panic. The key's record is the parsed index's entry for it (open
+// trusts the index and Get verifies), else a sidecar that parses,
+// names the key and carries a sum. Get must serve exactly the entry
+// bytes that hash to that record's sum; any other entry is evicted,
+// both files removed, and counted once — rebuild_evicted at open,
+// corrupt at Get. The seed corpus in testdata/fuzz/FuzzCacheOpen holds
+// the untouched files, a torn index over good and bad sidecars, a
+// flipped entry byte under a good index, an index naming another key,
+// a sidecar naming another key, and empty files.
+func FuzzCacheOpen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, index, entry, meta []byte) {
+		dir := t.TempDir()
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Put(cacheFuzzKey, "stub", cacheFuzzReport); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SaveIndex(); err != nil {
+			t.Fatal(err)
+		}
+		entryPath, metaPath := filepath.Join(dir, cacheFuzzKey+".json"), filepath.Join(dir, cacheFuzzKey+metaSuffix)
+		for path, b := range map[string][]byte{filepath.Join(dir, cacheIndexFile): index, entryPath: entry, metaPath: meta} {
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		var sum string
+		recorded, fromIndex := false, false
+		var idx cacheIndex
+		if json.Unmarshal(index, &idx) == nil {
+			for _, e := range idx.Entries {
+				if e.Key == cacheFuzzKey {
+					sum, recorded, fromIndex = e.Sum, true, true
+				}
+			}
+		}
+		var side CacheEntry
+		if !recorded && json.Unmarshal(meta, &side) == nil && side.Key == cacheFuzzKey && side.Sum != "" {
+			sum, recorded = side.Sum, true
+		}
+		verifies := recorded && metrics.Sum256Hex(entry) == sum
+
+		c, err = OpenCache(dir)
+		if err != nil {
+			t.Fatalf("reopening: %v", err)
+		}
+		b, ok := c.Get(cacheFuzzKey)
+		st := c.Stats()
+		switch {
+		case ok != verifies:
+			t.Fatalf("Get served=%v, want %v (record %q from index=%v, entry hashes to %s)",
+				ok, verifies, sum, fromIndex, metrics.Sum256Hex(entry))
+		case ok && !bytes.Equal(b, entry):
+			t.Fatalf("Get served %q, the entry file holds %q", b, entry)
+		case ok:
+			return
+		case fromIndex && (st.Corrupt != 1 || st.RebuildEvicted != 0):
+			t.Fatalf("indexed entry failed Get: corrupt=%d rebuild_evicted=%d, want 1 and 0", st.Corrupt, st.RebuildEvicted)
+		case !fromIndex && (st.RebuildEvicted != 1 || st.Corrupt != 0):
+			t.Fatalf("sidecar entry failed open: rebuild_evicted=%d corrupt=%d, want 1 and 0", st.RebuildEvicted, st.Corrupt)
+		}
+		for _, path := range []string{entryPath, metaPath} {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("failed entry left %s behind (stat: %v)", filepath.Base(path), err)
+			}
 		}
 	})
 }

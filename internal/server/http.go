@@ -129,10 +129,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Colt-Trace", res.Job.TraceID())
-	resp := submitResponse{jobStatus: res.Job.snapshot()}
-	if e, ok := s.cache.Entry(res.Job.Can.Hash); ok && res.Cached {
-		resp.ReportSHA256 = e.Sum
-	}
+	resp := submitResponse{jobStatus: res.Job.snapshot(), ReportSHA256: res.ReportSum}
 	w.Header().Set("Location", "/v1/jobs/"+res.Job.ID)
 	status := http.StatusCreated
 	if !res.Created {
@@ -219,17 +216,15 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "%s", msg)
 		return
 	}
-	b, ok := s.Report(j)
+	b, sum, ok := s.report(j)
 	if !ok {
 		// The cached entry failed its integrity check after the job
 		// completed; the client resubmits and the spec recomputes.
 		writeError(w, http.StatusGone, "cached report for job %s failed verification; resubmit to recompute", j.ID)
 		return
 	}
-	if e, ok := s.cache.Entry(j.Can.Hash); ok {
-		w.Header().Set("X-Report-Sha256", e.Sum)
-		w.Header().Set("ETag", `"`+e.Sum+`"`)
-	}
+	w.Header().Set("X-Report-Sha256", sum)
+	w.Header().Set("ETag", `"`+sum+`"`)
 	// The spec hash and experiment name let a proxying peer file the
 	// verified bytes in its own cache (read-side peer fill).
 	w.Header().Set(specHashHeader, j.Can.Hash)

@@ -108,6 +108,12 @@ type Job struct {
 	// histograms and completion counters. Set before publication; may
 	// be nil in unit tests that construct jobs directly.
 	om *serverMetrics
+	// kept holds a done job's report for its first fetch (nil when the
+	// job kept nothing, or once the report was fetched or the job
+	// evicted). Set before any other goroutine can fetch or evict the
+	// job; Server.takeKept swaps it out, so exactly one fetch or
+	// eviction releases it.
+	kept atomic.Pointer[keptReport]
 
 	mu           sync.Mutex
 	errMsg       string
@@ -127,6 +133,14 @@ type Job struct {
 	// status snapshot, and GET /v1/jobs/{id}/timeline all read it, so
 	// they can never disagree.
 	timeline []TimelineMark
+}
+
+// keptReport is report bytes a job holds for its first fetch and the
+// SHA-256 they were checked against: a cache hit's bytes as admission
+// read and verified them, or an executed job's bytes as committed.
+type keptReport struct {
+	b   []byte
+	sum string
 }
 
 // TimelineMark is one edge in a job's span timeline. Phase names are

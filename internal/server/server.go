@@ -31,6 +31,13 @@ import (
 // a restarted daemon can resubmit them.
 const pendingFile = "pending.json"
 
+// maxKeptReportBytes caps, across the server, the report bytes done
+// jobs hold for their first fetch (Job.kept). A job that would pass
+// it keeps nothing and its fetch reads the cache, so unfetched jobs
+// never pin more than this; uncapped, the worst case would be
+// RetainJobs times the largest report.
+const maxKeptReportBytes = 64 << 20
+
 // Config sizes the serving daemon. Zero values take the documented
 // defaults.
 type Config struct {
@@ -188,6 +195,12 @@ type Server struct {
 
 	retainPerShard int
 
+	// keptBytes counts the report bytes done jobs hold for their first
+	// fetch; keepReport never lets it pass keptLimit
+	// (maxKeptReportBytes; tests lower it).
+	keptBytes atomic.Int64
+	keptLimit int64
+
 	pendingMu     sync.Mutex
 	pending       []Spec   // checkpointed at drain
 	pendingHashes []string // content hashes matching pending, for journal commit
@@ -241,6 +254,7 @@ func NewServer(cfg Config) (*Server, error) {
 		baseCtx:        ctx,
 		stop:           stop,
 		retainPerShard: cfg.RetainJobs / numShards,
+		keptLimit:      maxKeptReportBytes,
 		queue:          make(chan *Job, cfg.QueueDepth),
 		retryRng:       rng.New(cfg.DiskFaultSeed ^ 0x5261667465724a6a).Stream("retry-after"),
 		probeStop:      make(chan struct{}),
@@ -408,6 +422,9 @@ type SubmitResult struct {
 	// Cached is true when the result was already in the cache and the
 	// job completed without queueing.
 	Cached bool
+	// ReportSum is the SHA-256 admission verified a cache hit's report
+	// against ("" unless Cached).
+	ReportSum string
 }
 
 // Submit canonicalizes, admits, and routes a job spec: cache hits
@@ -500,10 +517,11 @@ func (s *Server) SubmitTraced(spec Spec, trace string) (SubmitResult, error) {
 		delete(sh.byHash, can.Hash)
 	}
 	now := time.Now()
-	// Serve from cache: Get verifies the stored bytes against their
-	// recorded hash, so a corrupted entry falls through to recompute.
-	if _, ok := s.cache.Get(can.Hash); ok {
-		j := s.newTrackedJob(can, now, true, trace)
+	// Serve from cache: the read verifies the stored bytes against
+	// their recorded hash, so a corrupted entry falls through to
+	// recompute. The job keeps the verified bytes for its first fetch.
+	if b, sum, ok := s.cache.GetSum(can.Hash); ok {
+		j := s.newTrackedJob(can, now, trace, &keptReport{b: b, sum: sum})
 		// Resolve any live journal record for this hash — a replayed
 		// accept whose report landed before the crash completes here,
 		// as a hit, and must not be replayed forever. For ordinary hits
@@ -514,7 +532,7 @@ func (s *Server) SubmitTraced(spec Spec, trace string) (SubmitResult, error) {
 			s.slog.Info("job admitted", "trace", trace, "outcome", "cache_hit",
 				"job", j.ID, "experiment", can.Exp.Name, "hash", can.Hash)
 		}
-		return SubmitResult{Job: j, Created: true, Cached: true}, nil
+		return SubmitResult{Job: j, Created: true, Cached: true, ReportSum: sum}, nil
 	}
 	// Win a queue slot before minting an ID or constructing the job:
 	// refusals must leave no trace.
@@ -526,7 +544,7 @@ func (s *Server) SubmitTraced(spec Spec, trace string) (SubmitResult, error) {
 		}
 		return SubmitResult{}, ErrQueueFull
 	}
-	j := s.newTrackedJob(can, now, false, trace)
+	j := s.newTrackedJob(can, now, trace, nil)
 	if can.Spec.DeadlineMs > 0 {
 		j.deadline = now.Add(time.Duration(can.Spec.DeadlineMs) * time.Millisecond)
 	}
@@ -808,7 +826,8 @@ func (s *Server) execute(j *Job) {
 	// memory overlay and serve from there, the breaker hears about the
 	// disk, and the journal record stays live — after a crash the spec
 	// recomputes, which is exactly what losing the disk copy means.
-	if err := s.cache.Put(j.Can.Hash, j.Can.Exp.Name, b); err != nil {
+	sum, err := s.cache.PutSum(j.Can.Hash, j.Can.Exp.Name, b)
+	if err != nil {
 		s.noteDiskOp(err)
 		log.Printf("server: cache write failed (serving from memory): %v", err)
 		s.slog.Warn("cache commit", "trace", j.TraceID(), "job", j.ID,
@@ -823,17 +842,61 @@ func (s *Server) execute(j *Job) {
 	if traceBuf != nil {
 		j.setTrace(traceBuf)
 	}
+	// Keep before finishing: once done the job is evictable, and an
+	// eviction must see what it holds.
+	s.keepReport(j, &keptReport{b: b, sum: sum})
 	j.finish(JobDone, "", time.Now())
 	s.slog.Info("job finished", "trace", j.TraceID(), "job", j.ID, "state", "done")
 }
 
-// Report returns the job's report bytes from the cache. Only done
-// jobs have one.
+// Report returns the job's report bytes. Only done jobs have one.
 func (s *Server) Report(j *Job) ([]byte, bool) {
+	b, _, ok := s.report(j)
+	return b, ok
+}
+
+// report returns a done job's report bytes and their SHA-256. The
+// first fetch takes the report the job kept, so a cache-hit request
+// reads and verifies its entry once, at admission, and an executed
+// job's first fetch reads nothing. A later fetch, or a job that kept
+// nothing, reads and re-verifies the cache.
+func (s *Server) report(j *Job) ([]byte, string, bool) {
 	if st, _ := j.State(); st != JobDone {
-		return nil, false
+		return nil, "", false
 	}
-	return s.cache.Get(j.Can.Hash)
+	if k := s.takeKept(j); k != nil {
+		return k.b, k.sum, true
+	}
+	return s.cache.GetSum(j.Can.Hash)
+}
+
+// keepReport lets j hold k for its first fetch, unless that would
+// take the bytes held across the server past keptLimit; then j keeps
+// nothing and its fetch reads the cache. Called before any other
+// goroutine can fetch or evict j.
+func (s *Server) keepReport(j *Job, k *keptReport) {
+	n := int64(len(k.b))
+	for {
+		cur := s.keptBytes.Load()
+		if cur+n > s.keptLimit {
+			return
+		}
+		if s.keptBytes.CompareAndSwap(cur, cur+n) {
+			break
+		}
+	}
+	j.kept.Store(k)
+}
+
+// takeKept detaches j's kept report, if any, and releases its bytes.
+// The first fetch and the registry eviction both call it; the swap
+// hands the report to exactly one of them.
+func (s *Server) takeKept(j *Job) *keptReport {
+	k := j.kept.Swap(nil)
+	if k != nil {
+		s.keptBytes.Add(-int64(len(k.b)))
+	}
+	return k
 }
 
 // Cancel cancels a job by ID (the DELETE /v1/jobs/{id} path). Returns

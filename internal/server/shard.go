@@ -78,15 +78,19 @@ func (s *Server) regShardForID(id string) (*regShard, bool) {
 // newTrackedJob mints the next job ID and registers the job in its
 // registry shard, applying the terminal-retention bound. The ID is
 // minted here — after admission has succeeded — so refused
-// submissions never consume one. cached jobs are born done.
-func (s *Server) newTrackedJob(can CanonicalJob, now time.Time, cached bool, trace string) *Job {
+// submissions never consume one. A cache hit passes the report
+// admission read: the job is born done and keeps the report for its
+// first fetch (budget permitting) before any other goroutine can
+// reach it, so an eviction never misses what it holds.
+func (s *Server) newTrackedJob(can CanonicalJob, now time.Time, trace string, hit *keptReport) *Job {
 	seq := s.nextID.Add(1)
 	j := newJob(s.idPrefix+fmt.Sprintf("j%06d", seq), can, now)
 	j.seq = seq
 	j.traceID = trace
 	j.om = s.om // before any terminal transition can fire
-	if cached {
+	if hit != nil {
 		j.markCachedDone(now)
+		s.keepReport(j, hit)
 	}
 	rs := s.regShardForSeq(seq)
 	j.counts = &rs.counts
@@ -101,7 +105,8 @@ func (s *Server) newTrackedJob(can CanonicalJob, now time.Time, cached bool, tra
 
 // evictTerminalLocked enforces the per-shard terminal-retention bound
 // (Config.RetainJobs / numShards): oldest terminal jobs are dropped
-// first, queued/running jobs are never touched. Callers hold rs.mu.
+// first, queued/running jobs are never touched, and an evicted job's
+// kept report is released. Callers hold rs.mu.
 // The scan walks admission order from the front and stops as soon as
 // the excess is cleared; because old jobs are overwhelmingly terminal
 // the amortized cost per admission is O(1).
@@ -121,6 +126,7 @@ func (s *Server) evictTerminalLocked(rs *regShard) {
 		if st := j.stateFast(); st.terminal() {
 			delete(rs.jobs, id)
 			rs.counts.sub(st)
+			s.takeKept(j)
 			excess--
 		} else {
 			keptPrefix = append(keptPrefix, id)

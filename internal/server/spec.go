@@ -87,9 +87,11 @@ type canonicalSpec struct {
 
 // CanonicalJob is a validated, canonicalized submission: the resolved
 // registry entry, the fully-expanded engine options, and the
-// content-address hash. Two submissions that mean the same thing —
-// quick:true versus its spelled-out equivalent — canonicalize to the
-// same hash.
+// content-address hash. Spelling out the base's own frames, scale or
+// seed never changes the hash; spelling out its refs keeps the hash
+// only where refs/10 equals the base warmup (DefaultOptions, not
+// QuickOptions). quick:true has no spelled-out equivalent: cold
+// scale, churn ops and mid-run churn are not spec fields.
 type CanonicalJob struct {
 	Spec Spec // the submission as received (checkpointing re-submits it)
 	Exp  experiments.NamedExperiment
