@@ -88,8 +88,9 @@ fuzz-buddy:
 # Short fuzz runs of the serving layer's untrusted inputs: submit
 # bodies through canonicalization (limits, hash stability, spelled-out
 # options), journal tails after a sealed prefix, and a cache directory
-# whose index, entry and sidecar are replaced by fuzzed bytes (nothing
-# unverified is served). CI runs the corpora only, via `make test`.
+# whose entry and sidecar are replaced by fuzzed bytes beside a fuzzed
+# stale index.json that must change nothing (nothing unverified is
+# served). CI runs the corpora only, via `make test`.
 fuzz-serve:
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzCanonicalize -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzJournalReplay -fuzztime 30s

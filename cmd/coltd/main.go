@@ -228,9 +228,9 @@ func listenURL(a net.Addr) string {
 }
 
 // run serves until SIGTERM/SIGINT, then drains: admission stops, the
-// in-flight jobs finish and land in the cache, still-queued specs are
-// checkpointed, the cache index is flushed, and only then does the
-// HTTP listener shut down (so status/report endpoints answer
+// in-flight jobs finish and land in the cache, still-queued jobs stay
+// live in the journal for the next boot to replay, and only then does
+// the HTTP listener shut down (so status/report endpoints answer
 // throughout the drain).
 func run(addr, debugAddr string, cfg server.Config, drainTimeout time.Duration) error {
 	s, err := server.NewServer(cfg)
@@ -288,7 +288,7 @@ func run(addr, debugAddr string, cfg server.Config, drainTimeout time.Duration) 
 	}
 	stop() // a second signal kills the process the default way
 
-	fmt.Println("coltd: draining (finishing in-flight jobs, checkpointing queue, flushing cache index)")
+	fmt.Println("coltd: draining (finishing in-flight jobs, leaving queued jobs journaled for replay)")
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := s.Drain(drainCtx); err != nil {

@@ -2,9 +2,7 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,15 +14,10 @@ import (
 	"colt/internal/server/faultfs"
 )
 
-// cacheIndexFile is the on-disk index name inside the cache directory.
-const cacheIndexFile = "index.json"
-
 // metaSuffix is the per-entry sidecar suffix: <key>.meta.json holds
 // the entry's index record, written durably next to the entry file
-// itself. The sidecars — not index.json — are the source of truth:
-// index.json is a fast-load snapshot flushed at drain, and a torn or
-// missing index is rebuilt from the hash-verified sidecars instead of
-// losing the cache.
+// itself. The sidecars are the cache's only index: open reads them,
+// nothing restates them.
 const metaSuffix = ".meta.json"
 
 // CacheEntry is one cached report's index record. Key is the content
@@ -38,23 +31,14 @@ type CacheEntry struct {
 	Size       int    `json:"size"`
 }
 
-// cacheIndex is the serialized index.json layout.
-type cacheIndex struct {
-	Schema  string       `json:"schema"`
-	Entries []CacheEntry `json:"entries"`
-}
-
-// cacheSchema identifies the index layout.
-const cacheSchema = "colt-cache/1"
-
 // Cache is the content-addressed result store. With a directory it
 // persists each report as <dir>/<key>.json plus a durable per-entry
-// meta sidecar and an index snapshot flushed on drain; with an empty
-// directory it is memory-only. All methods are safe for concurrent
-// use: reads share an RWMutex read lock and do their file I/O and
-// hash verification outside any lock, so a zipf-hot key served to
-// many clients at once never serializes on the mutex for the
-// expensive part.
+// meta sidecar, and a reopen rebuilds its index from the sidecars;
+// with an empty directory it is memory-only. All methods are safe for
+// concurrent use: reads share an RWMutex read lock and do their file
+// I/O and hash verification outside any lock, so a zipf-hot key
+// served to many clients at once never serializes on the mutex for
+// the expensive part.
 //
 // Crash tolerance: every durable write goes through the injectable
 // filesystem seam (internal/server/faultfs) and is fsynced —
@@ -84,25 +68,25 @@ type Cache struct {
 	entriesN atomic.Int64
 	overlayN atomic.Int64
 
-	// Rebuild outcome, set once at open.
-	rebuilt        int
+	// rebuildEvicted counts the sidecars open refused; set once.
 	rebuildEvicted int
-	indexTorn      bool
 }
 
-// OpenCache opens (or initializes) a cache rooted at dir, loading a
-// prior index if one exists. dir == "" selects memory-only mode.
+// OpenCache opens (or initializes) a cache rooted at dir, indexing
+// the entries a prior run left there. dir == "" selects memory-only
+// mode.
 func OpenCache(dir string) (*Cache, error) {
 	return OpenCacheFS(dir, faultfs.OS())
 }
 
 // OpenCacheFS is OpenCache with an explicit filesystem seam (the
-// fault plane's entry point). If index.json is torn or missing but
-// entry files exist, the index is rebuilt from the per-entry meta
-// sidecars: each candidate's bytes are re-hashed against its recorded
-// sum, verified entries are re-indexed, and corrupt ones are evicted
-// and counted — a crashed daemon recovers its cache instead of
-// recomputing it.
+// fault plane's entry point). The index is built from the per-entry
+// meta sidecars alone: a sidecar that parses, names a valid key equal
+// to its file name, and carries a sum admits its entry without
+// reading the entry's bytes — every Get verifies them against that
+// sum, so a corrupt entry is evicted at its first read. Any other
+// sidecar is evicted at open, with its entry file, and counted. A
+// crashed daemon recovers its cache instead of recomputing it.
 func OpenCacheFS(dir string, fsys faultfs.FS) (*Cache, error) {
 	c := &Cache{dir: dir, fs: fsys, entries: make(map[string]CacheEntry), mem: make(map[string][]byte)}
 	if dir == "" {
@@ -111,41 +95,9 @@ func OpenCacheFS(dir string, fsys faultfs.FS) (*Cache, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: creating %s: %w", dir, err)
 	}
-	raw, err := fsys.ReadFile(filepath.Join(dir, cacheIndexFile))
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		// No index: rebuild below finds whatever the sidecars prove.
-	case err != nil:
-		return nil, fmt.Errorf("cache: reading index: %w", err)
-	default:
-		var idx cacheIndex
-		if jerr := json.Unmarshal(raw, &idx); jerr != nil {
-			// A torn index is a crash artifact, not a fatal condition:
-			// fall through to the sidecar rebuild.
-			c.indexTorn = true
-		} else {
-			for _, e := range idx.Entries {
-				c.entries[e.Key] = e
-			}
-		}
-	}
-	if err := c.rebuildFromSidecars(); err != nil {
-		return nil, err
-	}
-	c.entriesN.Store(int64(len(c.entries)))
-	return c, nil
-}
-
-// rebuildFromSidecars reconciles the in-memory index against the
-// per-entry meta sidecars on disk. Entries the loaded index already
-// covers are trusted here (every Get re-verifies them anyway);
-// sidecar-only entries — Puts that landed after the last index flush,
-// or the whole cache when the index was torn — are admitted only if
-// their bytes hash to the recorded sum, and evicted otherwise.
-func (c *Cache) rebuildFromSidecars() error {
-	names, err := os.ReadDir(c.dir)
+	names, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("cache: scanning %s: %w", c.dir, err)
+		return nil, fmt.Errorf("cache: scanning %s: %w", dir, err)
 	}
 	for _, de := range names {
 		name := de.Name()
@@ -153,34 +105,33 @@ func (c *Cache) rebuildFromSidecars() error {
 			continue
 		}
 		key := strings.TrimSuffix(name, metaSuffix)
-		if _, ok := c.entries[key]; ok {
-			continue
-		}
-		metaPath := filepath.Join(c.dir, name)
-		evict := func() {
-			c.fs.Remove(metaPath)
-			c.fs.Remove(c.entryPath(key))
-			c.rebuildEvicted++
-		}
-		raw, err := c.fs.ReadFile(metaPath)
-		if err != nil {
-			evict()
-			continue
-		}
+		raw, err := fsys.ReadFile(filepath.Join(dir, name))
 		var e CacheEntry
-		if json.Unmarshal(raw, &e) != nil || e.Key != key || e.Sum == "" {
-			evict()
-			continue
-		}
-		b, err := c.fs.ReadFile(c.entryPath(key))
-		if err != nil || metrics.Sum256Hex(b) != e.Sum {
-			evict()
+		if err != nil || json.Unmarshal(raw, &e) != nil || e.Key != key || e.Sum == "" || !validKey(key) {
+			// A directory entry name holds no separator, so both paths
+			// stay inside dir whatever the key.
+			fsys.Remove(filepath.Join(dir, name))
+			fsys.Remove(c.entryPath(key))
+			c.rebuildEvicted++
 			continue
 		}
 		c.entries[key] = e
-		c.rebuilt++
 	}
-	return nil
+	c.entriesN.Store(int64(len(c.entries)))
+	return c, nil
+}
+
+// validKey reports whether key may name an entry: non-empty lowercase
+// ASCII letters and digits. Every spec hash (64 lowercase hex digits)
+// passes; a key that could reach outside the cache directory ("..",
+// "/") cannot.
+func validKey(key string) bool {
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < 'a' || c > 'z') && (c < '0' || c > '9') {
+			return false
+		}
+	}
+	return key != ""
 }
 
 // Dir returns the cache's directory ("" in memory mode).
@@ -221,8 +172,13 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 //
 // Only the index lookup holds the (read) lock; the file read and the
 // SHA-256 verification run lock-free. The memory overlay (memory
-// mode, or entries written while degraded) is checked first.
+// mode, or entries written while degraded) is checked first. A key
+// validKey refuses is a miss.
 func (c *Cache) GetSum(key string) ([]byte, string, bool) {
+	if !validKey(key) {
+		c.misses.Add(1)
+		return nil, "", false
+	}
 	c.mu.RLock()
 	e, ok := c.entries[key]
 	var b []byte
@@ -294,7 +250,11 @@ func (c *Cache) Put(key, experiment string, b []byte) error {
 // PutSum is Put that also returns the SHA-256 it recorded for b — the
 // sum every later Get verifies against. The sum is returned even when
 // the disk write failed: the bytes are then served from the overlay.
+// A key validKey refuses is an error, and nothing is stored.
 func (c *Cache) PutSum(key, experiment string, b []byte) (string, error) {
+	if !validKey(key) {
+		return "", fmt.Errorf("cache: invalid key %q", key)
+	}
 	e := CacheEntry{Key: key, Experiment: experiment, Sum: metrics.Sum256Hex(b), Size: len(b)}
 	if c.dir == "" {
 		c.putOverlay(key, e, b)
@@ -400,52 +360,16 @@ func (c *Cache) Entry(key string) (CacheEntry, bool) {
 	return e, ok
 }
 
-// SaveIndex flushes the index snapshot to disk (no-op in memory mode
-// and while degraded — a hostile disk gets no writes), written
-// crash-atomically, fsynced, and key-sorted so restarts and hand
-// inspection are deterministic. The drain path calls this; callers
-// may also call it periodically. Losing an index flush is never fatal
-// thanks to the sidecar rebuild, but a fresh index makes the next
-// boot cheap.
-func (c *Cache) SaveIndex() error {
-	if c.dir == "" || c.isDegraded() {
-		return nil
-	}
-	c.mu.RLock()
-	idx := cacheIndex{Schema: cacheSchema, Entries: make([]CacheEntry, 0, len(c.entries))}
-	for k, e := range c.entries {
-		if c.mem[k] != nil {
-			continue // overlay-only entries have no durable file to index
-		}
-		idx.Entries = append(idx.Entries, e)
-	}
-	c.mu.RUnlock()
-	sort.Slice(idx.Entries, func(i, j int) bool { return idx.Entries[i].Key < idx.Entries[j].Key })
-	b, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("cache: encoding index: %w", err)
-	}
-	path := filepath.Join(c.dir, cacheIndexFile)
-	if err := faultfs.WriteFileSync(c.fs, path, append(b, '\n')); err != nil {
-		return fmt.Errorf("cache: committing index: %w", err)
-	}
-	return nil
-}
-
 // CacheStats is the cache's counter snapshot for /v1/stats.
 type CacheStats struct {
 	Entries int    `json:"entries"`
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
 	Corrupt uint64 `json:"corrupt"`
-	// Rebuilt counts entries re-indexed from hash-verified meta
-	// sidecars at open (index.json torn, missing, or stale);
-	// RebuildEvicted counts sidecar candidates whose bytes failed
-	// verification and were removed.
-	Rebuilt        int `json:"rebuilt,omitempty"`
+	// RebuildEvicted counts meta sidecars open refused (unreadable,
+	// unparseable, naming another or an invalid key, or missing a sum)
+	// and removed with their entry files.
 	RebuildEvicted int `json:"rebuild_evicted,omitempty"`
-	// IndexTorn records that index.json existed but did not parse.
-	IndexTorn bool `json:"index_torn,omitempty"`
 	// DegradedPuts counts entries that went to the memory overlay
 	// because the disk was failing (or the breaker already open).
 	DegradedPuts uint64 `json:"degraded_puts,omitempty"`
@@ -469,9 +393,7 @@ func (c *Cache) Stats() CacheStats {
 		Hits:           c.hits.Load(),
 		Misses:         c.misses.Load(),
 		Corrupt:        c.corrupt.Load(),
-		Rebuilt:        c.rebuilt,
 		RebuildEvicted: c.rebuildEvicted,
-		IndexTorn:      c.indexTorn,
 		DegradedPuts:   c.degradedPuts.Load(),
 		OverlayEntries: overlay,
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -40,6 +41,9 @@ func TestCachePutGetRoundtrip(t *testing.T) {
 			st := c.Stats()
 			if st.Hits != 1 || st.Misses != 1 || st.Corrupt != 0 || st.Entries != 1 {
 				t.Fatalf("stats %+v, want 1 hit / 1 miss / 0 corrupt / 1 entry", st)
+			}
+			if c.Dir() != dir {
+				t.Fatalf("Dir() = %q, want %q", c.Dir(), dir)
 			}
 		})
 	}
@@ -103,8 +107,8 @@ func TestCacheMissingFileTreatedAsCorrupt(t *testing.T) {
 	}
 }
 
-// TestCacheIndexSurvivesReopen: SaveIndex + reopen serves prior
-// results — the restart-reuse half of the drain contract.
+// TestCacheIndexSurvivesReopen: a reopen indexes prior results from
+// their sidecars alone — the restart-reuse half of the drain contract.
 func TestCacheIndexSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir)
@@ -116,9 +120,6 @@ func TestCacheIndexSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.Put("kb", "expB", b); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SaveIndex(); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := OpenCache(dir)
@@ -134,28 +135,16 @@ func TestCacheIndexSurvivesReopen(t *testing.T) {
 	if st := c2.Stats(); st.Entries != 2 || st.Hits != 2 {
 		t.Fatalf("reopened stats %+v, want entries=2 hits=2", st)
 	}
-}
-
-func TestCacheMemoryModeSaveIndexIsNoop(t *testing.T) {
-	c, err := OpenCache("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("k", "e", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SaveIndex(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Dir() != "" {
-		t.Fatal("memory cache reports a directory")
+	if e, ok := c2.Entry("kb"); !ok || e.Experiment != "expB" || e.Size != len(b) {
+		t.Fatalf("reopened entry %+v, %v; want the sidecar's record", e, ok)
 	}
 }
 
-// TestCacheIndexRebuildFromSidecars is the satellite's core claim: a
-// deleted (or never-written) index.json is reconstructed from the
-// per-entry meta sidecars — every hash-verified entry is re-indexed,
-// and a corrupted one is evicted and counted, not trusted.
+// TestCacheIndexRebuildFromSidecars: open admits every sidecar that
+// parses and names its key without reading the entry bytes, so a
+// corrupted entry is admitted and then evicted at its first Get
+// (corrupt=1), while an unparseable sidecar is evicted at open
+// (rebuild_evicted=1) — in both cases with both files.
 func TestCacheIndexRebuildFromSidecars(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir)
@@ -163,19 +152,16 @@ func TestCacheIndexRebuildFromSidecars(t *testing.T) {
 		t.Fatal(err)
 	}
 	good1, good2, bad := []byte(`{"g":1}`), []byte(`{"g":2}`), []byte(`{"b":3}`)
-	for key, b := range map[string][]byte{"ka": good1, "kb": good2, "kc": bad} {
+	for key, b := range map[string][]byte{"ka": good1, "kb": good2, "kc": bad, "kd": bad} {
 		if err := c.Put(key, "exp", b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.SaveIndex(); err != nil {
-		t.Fatal(err)
-	}
-	// Crash aftermath: index gone, one entry's bytes corrupted.
-	if err := os.Remove(filepath.Join(dir, cacheIndexFile)); err != nil {
-		t.Fatal(err)
-	}
+	// Crash aftermath: one entry's bytes corrupted, one sidecar torn.
 	if err := os.WriteFile(filepath.Join(dir, "kc.json"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "kd"+metaSuffix), []byte(`{"key":"kd","sha`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,9 +169,13 @@ func TestCacheIndexRebuildFromSidecars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := c2.Stats()
-	if st.Rebuilt != 2 || st.RebuildEvicted != 1 || st.Entries != 2 {
-		t.Fatalf("stats %+v, want rebuilt=2 rebuild_evicted=1 entries=2", st)
+	if st := c2.Stats(); st.Entries != 3 || st.RebuildEvicted != 1 || st.Corrupt != 0 {
+		t.Fatalf("stats %+v, want entries=3 rebuild_evicted=1 corrupt=0", st)
+	}
+	for _, name := range []string{"kd.json", "kd" + metaSuffix} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("refused sidecar's file %s still on disk", name)
+		}
 	}
 	for key, want := range map[string][]byte{"ka": good1, "kb": good2} {
 		got, ok := c2.Get(key)
@@ -194,7 +184,10 @@ func TestCacheIndexRebuildFromSidecars(t *testing.T) {
 		}
 	}
 	if _, ok := c2.Get("kc"); ok {
-		t.Fatal("corrupt entry survived the rebuild")
+		t.Fatal("corrupt entry served")
+	}
+	if st := c2.Stats(); st.Entries != 2 || st.Corrupt != 1 {
+		t.Fatalf("stats %+v after the corrupt Get, want entries=2 corrupt=1", st)
 	}
 	for _, name := range []string{"kc.json", "kc" + metaSuffix} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
@@ -203,33 +196,117 @@ func TestCacheIndexRebuildFromSidecars(t *testing.T) {
 	}
 }
 
-// TestCacheTornIndexRebuilds: a half-written index.json (the torn
-// rename-less crash signature) is flagged and rebuilt from sidecars
-// instead of failing the open or silently emptying the cache.
+// TestCacheTornIndexRebuilds: an index.json an older daemon left
+// behind — torn, or whole but stale — changes nothing: the entries
+// are the sidecars', a key only the index names does not exist, and a
+// stale key naming a path ("../victim") can neither read nor delete
+// the file beside the cache directory.
 func TestCacheTornIndexRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
+	stale, err := json.Marshal(map[string]any{"schema": "colt-cache/1", "entries": []CacheEntry{
+		{Key: "kz", Experiment: "exp", Sum: metrics.Sum256Hex([]byte("z")), Size: 1},
+		{Key: "../victim", Experiment: "exp", Sum: metrics.Sum256Hex([]byte("other")), Size: 5},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []byte(`{"a":1}`)
-	if err := c.Put("ka", "exp", want); err != nil {
-		t.Fatal(err)
+	for name, index := range map[string][]byte{"torn": []byte(`{"schema":"colt-ca`), "stale": stale} {
+		t.Run(name, func(t *testing.T) {
+			root := t.TempDir()
+			dir := filepath.Join(root, "cache")
+			victim := filepath.Join(root, "victim.json")
+			if err := os.WriteFile(victim, []byte("precious"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, err := OpenCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []byte(`{"a":1}`)
+			if err := c.Put("ka", "exp", want); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "index.json"), index, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "kz.json"), []byte("z"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c2, err := OpenCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := c2.Stats(); st.Entries != 1 || st.RebuildEvicted != 0 {
+				t.Fatalf("stats %+v, want entries=1 rebuild_evicted=0", st)
+			}
+			if got, ok := c2.Get("ka"); !ok || !bytes.Equal(got, want) {
+				t.Fatalf("Get beside a %s index = %q, %v", name, got, ok)
+			}
+			for _, key := range []string{"kz", "../victim"} {
+				if b, ok := c2.Get(key); ok {
+					t.Fatalf("Get(%q) served %q, which only the index names", key, b)
+				}
+			}
+			if got, err := os.ReadFile(victim); err != nil || string(got) != "precious" {
+				t.Fatalf("victim beside the cache dir = %q, %v; want it intact", got, err)
+			}
+		})
 	}
-	if err := os.WriteFile(filepath.Join(dir, cacheIndexFile), []byte(`{"schema":"colt-ca`), 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// TestCacheKeysArePlainNames: a key must be non-empty lowercase ASCII
+// letters and digits. Put refuses any other key with an error and
+// stores nothing, not even in memory; Get misses on it; and open
+// evicts a sidecar whose file name gives one. Nothing is written
+// outside the cache directory.
+func TestCacheKeysArePlainNames(t *testing.T) {
+	bad := []string{"", "../outside", "a/b", "..", "KA", "k.1", "k-1", "k\\1"}
+	for _, mode := range []string{"disk", "memory"} {
+		t.Run(mode, func(t *testing.T) {
+			root := t.TempDir()
+			dir := ""
+			if mode == "disk" {
+				dir = filepath.Join(root, "cache")
+			}
+			c, err := OpenCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range bad {
+				if _, err := c.PutSum(key, "exp", []byte("x")); err == nil {
+					t.Fatalf("PutSum(%q) accepted", key)
+				}
+				if _, ok := c.Get(key); ok {
+					t.Fatalf("Get(%q) hit", key)
+				}
+			}
+			if st := c.Stats(); st.Entries != 0 || st.OverlayEntries != 0 || st.DegradedPuts != 0 || st.Misses != uint64(len(bad)) {
+				t.Fatalf("stats %+v, want nothing stored and %d misses", st, len(bad))
+			}
+			if names, _ := os.ReadDir(root); mode == "disk" && len(names) != 1 {
+				t.Fatalf("files beside the cache dir: %v", names)
+			}
+		})
 	}
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := c2.Stats()
-	if !st.IndexTorn || st.Rebuilt != 1 {
-		t.Fatalf("stats %+v, want index_torn=true rebuilt=1", st)
-	}
-	if got, ok := c2.Get("ka"); !ok || !bytes.Equal(got, want) {
-		t.Fatalf("Get after torn-index rebuild = %q, %v", got, ok)
-	}
+	t.Run("open", func(t *testing.T) {
+		dir := t.TempDir()
+		meta := []byte(`{"key":"KA","experiment":"exp","sha256":"` + metrics.Sum256Hex([]byte("x")) + `","size":1}`)
+		if err := os.WriteFile(filepath.Join(dir, "KA"+metaSuffix), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "KA.json"), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Entries != 0 || st.RebuildEvicted != 1 {
+			t.Fatalf("stats %+v, want entries=0 rebuild_evicted=1", st)
+		}
+		if names, _ := os.ReadDir(dir); len(names) != 0 {
+			t.Fatalf("refused sidecar left %v behind", names)
+		}
+	})
 }
 
 // TestCachePutFsyncFaultFallsBackToOverlay is the fsync-site
@@ -264,31 +341,6 @@ func TestCachePutFsyncFaultFallsBackToOverlay(t *testing.T) {
 	}
 }
 
-// TestCacheSaveIndexFsyncFault: the index commit path syncs too —
-// with fsync-fail armed, SaveIndex errors and no index.json appears.
-func TestCacheSaveIndexFsyncFault(t *testing.T) {
-	dir := t.TempDir()
-	seed, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Put("ka", "exp", []byte(`{"a":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	plane := faultfs.NewPlane(fault.Spec{Rates: map[fault.Site]float64{faultfs.OpFsync: 1}}, 12)
-	c, err := OpenCacheFS(dir, faultfs.Faulty(faultfs.OS(), plane))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = c.SaveIndex()
-	if err == nil || !fault.IsInjected(err) {
-		t.Fatalf("SaveIndex under fsync-fail = %v, want injected error", err)
-	}
-	if _, serr := os.Stat(filepath.Join(dir, cacheIndexFile)); !os.IsNotExist(serr) {
-		t.Fatal("failed SaveIndex left an index file behind")
-	}
-}
-
 // TestCacheDegradedOverlayFlush: while degraded, Puts stay in memory
 // and touch no disk; after recovery, FlushOverlay lands them durably
 // and a reopened cache serves them.
@@ -309,12 +361,6 @@ func TestCacheDegradedOverlayFlush(t *testing.T) {
 	if got, ok := c.Get("ka"); !ok || !bytes.Equal(got, want) {
 		t.Fatalf("degraded Get = %q, %v", got, ok)
 	}
-	if err := c.SaveIndex(); err != nil {
-		t.Fatal(err)
-	}
-	if _, serr := os.Stat(filepath.Join(dir, cacheIndexFile)); !os.IsNotExist(serr) {
-		t.Fatal("degraded SaveIndex wrote an index")
-	}
 
 	c.setDegraded(false)
 	n, err := c.FlushOverlay()
@@ -323,9 +369,6 @@ func TestCacheDegradedOverlayFlush(t *testing.T) {
 	}
 	if st := c.Stats(); st.OverlayEntries != 0 {
 		t.Fatalf("overlay not drained: %+v", st)
-	}
-	if err := c.SaveIndex(); err != nil {
-		t.Fatal(err)
 	}
 	c2, err := OpenCache(dir)
 	if err != nil {

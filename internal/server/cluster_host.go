@@ -171,7 +171,9 @@ func (s *Server) proxyRemoteJob(w http.ResponseWriter, r *http.Request, id strin
 // teeProxiedReport is the read-side peer fill: when a proxied
 // response is a report, buffer it, verify the bytes against the
 // origin's claimed SHA-256, and file a verified copy in the local
-// cache under the spec hash the origin attached. A mismatch is never
+// cache under the spec hash the origin attached. The cache refuses a
+// hash that is not a plain key (validKey), so the header can never
+// name a path outside the cache directory. A mismatch is never
 // relayed — the client gets a 502 and retries — and never cached.
 // Non-report paths proxy untouched (nil ModifyResponse).
 func (s *Server) teeProxiedReport(r *http.Request) func(*http.Response) error {

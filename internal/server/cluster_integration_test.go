@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -334,6 +336,65 @@ func TestClusterKillNodeSurvivors(t *testing.T) {
 	if after := fleetSimulations(survivors); after != survivorSimsBefore {
 		t.Fatalf("survivors re-ran %d simulations; every hash should have served from cache or a peer",
 			after-survivorSimsBefore)
+	}
+}
+
+// TestTeeRefusesNonKeySpecHash: the read-side tee files a peer's
+// report under the spec hash the peer's response names, so that hash
+// is untrusted input. A peer answering with "../outside", "a/b" or no
+// hash at all gets its (correctly summed) report relayed but never
+// cached, and nothing is written outside the cache directory; a real
+// hash is still teed.
+func TestTeeRefusesNonKeySpecHash(t *testing.T) {
+	report := []byte(`{"experiment":"stub","records":[]}` + "\n")
+	valid := strings.Repeat("d", 64)
+	hashes := map[string]string{"j000001": "../outside", "j000002": "a/b", "j000003": "", "j000004": valid}
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hash, ok := hashes[strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/v1/jobs/p."), "/report")]
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set(specHashHeader, hash)
+		w.Header().Set(experimentHeader, "stub")
+		w.Header().Set("X-Report-Sha256", metrics.Sum256Hex(report))
+		w.Write(report)
+	}))
+	defer peer.Close()
+	root := t.TempDir()
+	dir := filepath.Join(root, "cache")
+	s := newStubServer(t, Config{CacheDir: dir, Cluster: &cluster.Config{
+		NodeID: "n1", Peers: map[string]string{"p": peer.URL}, HeartbeatInterval: time.Hour,
+	}}, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	read := func(id string) {
+		t.Helper()
+		resp, b := getBody(t, ts.URL+"/v1/jobs/p."+id+"/report")
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(b, report) {
+			t.Fatalf("proxied report %s: status %d, body %q", id, resp.StatusCode, b)
+		}
+	}
+
+	for _, id := range []string{"j000001", "j000002", "j000003"} {
+		read(id)
+	}
+	if st := s.Stats(); st.Cache.Entries != 0 || st.Cluster.PeerFillOK != 0 {
+		t.Fatalf("cache %+v, peer fills %d; want nothing teed", st.Cache, st.Cluster.PeerFillOK)
+	}
+	if names, _ := os.ReadDir(root); len(names) != 1 {
+		t.Fatalf("files beside the cache dir: %v", names)
+	}
+	if matches, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(matches) != 0 {
+		t.Fatalf("cache dir holds %v", matches)
+	}
+
+	read("j000004")
+	if st := s.Stats(); st.Cache.Entries != 1 || st.Cluster.PeerFillOK != 1 {
+		t.Fatalf("cache %+v, peer fills %d; want the valid hash teed", st.Cache, st.Cluster.PeerFillOK)
+	}
+	if b, ok := s.Cache().Get(valid); !ok || !bytes.Equal(b, report) {
+		t.Fatalf("teed entry = %q, %v", b, ok)
 	}
 }
 

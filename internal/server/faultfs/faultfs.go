@@ -1,8 +1,8 @@
 // Package faultfs is the serving layer's deterministic disk-fault
 // plane: an injectable filesystem seam threaded through every durable
-// write coltd performs (cache entries, the accepted-job journal, the
-// cache index, drain checkpoints). The spec parsing, per-site
-// rng.Stream draws, counters and injected error type are
+// write coltd performs (cache entries and their meta sidecars, the
+// accepted-job journal and its compactions). The spec parsing,
+// per-site rng.Stream draws, counters and injected error type are
 // internal/fault's core; this package names the disk sites — write
 // failures, short writes, failed renames, failed fsyncs, and slow
 // I/O — and applies them to real file operations.

@@ -86,18 +86,20 @@ var (
 	cacheFuzzReport = []byte(`{"experiment":"stub","records":[]}` + "\n")
 )
 
-// FuzzCacheOpen seeds a cache directory with one real Put and a saved
-// index, replaces index.json, the entry's .json and its .meta.json
-// with fuzzed bytes, and reopens the cache. OpenCacheFS must not
-// panic. The key's record is the parsed index's entry for it (open
-// trusts the index and Get verifies), else a sidecar that parses,
-// names the key and carries a sum. Get must serve exactly the entry
-// bytes that hash to that record's sum; any other entry is evicted,
-// both files removed, and counted once — rebuild_evicted at open,
-// corrupt at Get. The seed corpus in testdata/fuzz/FuzzCacheOpen holds
-// the untouched files, a torn index over good and bad sidecars, a
-// flipped entry byte under a good index, an index naming another key,
-// a sidecar naming another key, and empty files.
+// FuzzCacheOpen seeds a cache directory with one real Put, replaces
+// the entry's .json and its .meta.json with fuzzed bytes, leaves a
+// fuzzed stale index.json beside them, and reopens the cache.
+// OpenCacheFS must not panic. The key's record is the sidecar's when
+// the sidecar parses, names the key and carries a sum; the index.json
+// an older daemon wrote changes nothing and is left as it was. Get
+// must serve exactly the entry bytes that hash to the record's sum;
+// any other entry is evicted, both files removed, and counted once —
+// corrupt at Get when open admitted the sidecar, rebuild_evicted at
+// open when it refused it. The seed corpus in
+// testdata/fuzz/FuzzCacheOpen holds the untouched files, a torn index
+// over good and bad sidecars, a flipped entry byte under a good index,
+// an index naming another key, a sidecar naming another key, and
+// empty files.
 func FuzzCacheOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, index, entry, meta []byte) {
 		dir := t.TempDir()
@@ -108,31 +110,17 @@ func FuzzCacheOpen(f *testing.F) {
 		if err := c.Put(cacheFuzzKey, "stub", cacheFuzzReport); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SaveIndex(); err != nil {
-			t.Fatal(err)
-		}
+		indexPath := filepath.Join(dir, "index.json")
 		entryPath, metaPath := filepath.Join(dir, cacheFuzzKey+".json"), filepath.Join(dir, cacheFuzzKey+metaSuffix)
-		for path, b := range map[string][]byte{filepath.Join(dir, cacheIndexFile): index, entryPath: entry, metaPath: meta} {
+		for path, b := range map[string][]byte{indexPath: index, entryPath: entry, metaPath: meta} {
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 
-		var sum string
-		recorded, fromIndex := false, false
-		var idx cacheIndex
-		if json.Unmarshal(index, &idx) == nil {
-			for _, e := range idx.Entries {
-				if e.Key == cacheFuzzKey {
-					sum, recorded, fromIndex = e.Sum, true, true
-				}
-			}
-		}
 		var side CacheEntry
-		if !recorded && json.Unmarshal(meta, &side) == nil && side.Key == cacheFuzzKey && side.Sum != "" {
-			sum, recorded = side.Sum, true
-		}
-		verifies := recorded && metrics.Sum256Hex(entry) == sum
+		recorded := json.Unmarshal(meta, &side) == nil && side.Key == cacheFuzzKey && side.Sum != ""
+		verifies := recorded && metrics.Sum256Hex(entry) == side.Sum
 
 		c, err = OpenCache(dir)
 		if err != nil {
@@ -140,18 +128,21 @@ func FuzzCacheOpen(f *testing.F) {
 		}
 		b, ok := c.Get(cacheFuzzKey)
 		st := c.Stats()
+		if left, err := os.ReadFile(indexPath); err != nil || !bytes.Equal(left, index) {
+			t.Fatalf("stale index.json changed: %q (err %v), was %q", left, err, index)
+		}
 		switch {
 		case ok != verifies:
-			t.Fatalf("Get served=%v, want %v (record %q from index=%v, entry hashes to %s)",
-				ok, verifies, sum, fromIndex, metrics.Sum256Hex(entry))
+			t.Fatalf("Get served=%v, want %v (sidecar sum %q, entry hashes to %s)",
+				ok, verifies, side.Sum, metrics.Sum256Hex(entry))
 		case ok && !bytes.Equal(b, entry):
 			t.Fatalf("Get served %q, the entry file holds %q", b, entry)
 		case ok:
 			return
-		case fromIndex && (st.Corrupt != 1 || st.RebuildEvicted != 0):
-			t.Fatalf("indexed entry failed Get: corrupt=%d rebuild_evicted=%d, want 1 and 0", st.Corrupt, st.RebuildEvicted)
-		case !fromIndex && (st.RebuildEvicted != 1 || st.Corrupt != 0):
-			t.Fatalf("sidecar entry failed open: rebuild_evicted=%d corrupt=%d, want 1 and 0", st.RebuildEvicted, st.Corrupt)
+		case recorded && (st.Corrupt != 1 || st.RebuildEvicted != 0):
+			t.Fatalf("admitted entry failed Get: corrupt=%d rebuild_evicted=%d, want 1 and 0", st.Corrupt, st.RebuildEvicted)
+		case !recorded && (st.RebuildEvicted != 1 || st.Corrupt != 0):
+			t.Fatalf("refused sidecar: rebuild_evicted=%d corrupt=%d, want 1 and 0", st.RebuildEvicted, st.Corrupt)
 		}
 		for _, path := range []string{entryPath, metaPath} {
 			if _, err := os.Stat(path); !os.IsNotExist(err) {

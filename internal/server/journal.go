@@ -20,10 +20,11 @@ import (
 // directory. One JSON record per line, each fsynced before the
 // admission that wrote it returns: "accept" records carry the spec at
 // admission, "commit" records mark the job resolved (result cached,
-// failed, canceled by the user, or checkpointed to pending.json). The
-// live set — accepts without a matching commit — is exactly the work
-// a crash would otherwise lose, and replaying it at startup recovers
-// precisely the jobs a graceful drain would have checkpointed.
+// failed, canceled by the user or its deadline, or refused for good
+// by a restart's replay). The live set — accepts without a matching
+// commit — is the only way queued work survives the process: a crash
+// leaves it live, a graceful drain leaves every still-queued job's
+// accept live on purpose, and replay at startup resubmits it.
 //
 // Replay is idempotent because results are content-addressed: a
 // re-accepted spec whose report landed in the cache before the crash
@@ -50,8 +51,11 @@ type journalRecord struct {
 
 // journalLive is one accepted-but-unresolved record as surfaced to
 // startup replay: the spec to resubmit and the trace ID it was
-// originally admitted under.
+// originally admitted under. Hash, the record's spec hash, is set on
+// the records openJournal returns, so replay can commit one it
+// refuses.
 type journalLive struct {
+	Hash  string
 	Spec  Spec
 	Trace string
 }
@@ -153,7 +157,9 @@ func openJournal(fsys faultfs.FS, dir string) (*Journal, []journalLive, error) {
 	jl.f = f
 	recs := make([]journalLive, 0, len(jl.order))
 	for _, h := range jl.order {
-		recs = append(recs, jl.live[h])
+		rec := jl.live[h]
+		rec.Hash = h
+		recs = append(recs, rec)
 	}
 	return jl, recs, nil
 }
@@ -252,6 +258,14 @@ func (jl *Journal) Accept(hash string, spec Spec, trace string) error {
 	jl.live[hash] = journalLive{Spec: spec, Trace: trace}
 	jl.liveN.Store(int64(len(jl.live)))
 	return nil
+}
+
+// Has reports whether hash has a live accept record.
+func (jl *Journal) Has(hash string) bool {
+	jl.mu.Lock()
+	defer jl.mu.Unlock()
+	_, ok := jl.live[hash]
+	return ok
 }
 
 // Commit durably marks an accepted job resolved. Committing a hash

@@ -61,9 +61,6 @@ func TestCrashReplayRecoversAcceptedJobs(t *testing.T) {
 	if err := c.Put(canLanded.Hash, "stub", landedReport); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SaveIndex(); err != nil {
-		t.Fatal(err)
-	}
 	jl, _, err := openJournal(faultfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +16,7 @@ import (
 
 	"colt/internal/experiments"
 	"colt/internal/metrics"
+	"colt/internal/server/faultfs"
 )
 
 // TestBoundedRetentionEvictsOldestTerminal: the registry must not grow
@@ -33,7 +33,7 @@ func TestBoundedRetentionEvictsOldestTerminal(t *testing.T) {
 	s1 := newStubServer(t, Config{CacheDir: dir, RetainJobs: 64}, nil)
 	first := mustSubmit(t, s1, warm)
 	waitState(t, first.Job, JobDone)
-	if err := s1.Close(); err != nil { // flushes the cache index
+	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -206,61 +206,75 @@ func TestQueueFullDoesNotBurnIDs(t *testing.T) {
 }
 
 // TestResubmitPendingCountsDrops: a restarted daemon that cannot
-// readmit every checkpointed job must say so. An unknown experiment
-// (registry changed between runs) and a queue too small for the
-// checkpoint both surface in Stats.PendingDropped instead of
-// vanishing.
+// replay every live journal record must say so, in
+// Stats.PendingDropped, instead of letting it vanish. A record no boot
+// could admit (its experiment left the registry) is dropped once and
+// committed, so the next boot neither replays nor counts it again; a
+// record refused by a full queue stays live for the next boot.
 func TestResubmitPendingCountsDrops(t *testing.T) {
 	t.Run("unknown experiment", func(t *testing.T) {
 		dir := t.TempDir()
-		writePendingFile(t, dir, []Spec{
+		writeLiveAccepts(t, dir, []Spec{
 			{Experiment: "stub", Seed: 1},
 			{Experiment: "vanished", Seed: 2}, // not in the restarted registry
 			{Experiment: "stub", Seed: 3},
 		})
 		s := newStubServer(t, Config{CacheDir: dir, QueueDepth: 8}, nil)
-		if got := s.Stats().PendingDropped; got != 1 {
-			t.Fatalf("PendingDropped = %d, want 1", got)
+		st := s.Stats()
+		if st.PendingDropped != 1 || st.Journal.Replayed != 2 {
+			t.Fatalf("first boot: PendingDropped = %d, replayed %d; want 1 and 2", st.PendingDropped, st.Journal.Replayed)
 		}
-		if _, err := os.Stat(filepath.Join(dir, pendingFile)); !os.IsNotExist(err) {
-			t.Fatalf("pending checkpoint not consumed (stat err %v)", err)
+		waitStats(t, s, "replayed jobs to finish", func(st Stats) bool { return st.Jobs[JobDone] == 2 })
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		s2 := newStubServer(t, Config{CacheDir: dir, QueueDepth: 8}, nil)
+		if st := s2.Stats(); st.PendingDropped != 0 || st.Journal.Replayed != 0 || st.Journal.Live != 0 {
+			t.Fatalf("second boot: PendingDropped = %d, journal %+v; want nothing left to replay",
+				st.PendingDropped, st.Journal)
 		}
 	})
 	t.Run("queue refilled", func(t *testing.T) {
 		dir := t.TempDir()
-		specs := make([]Spec, 6)
-		for i := range specs {
-			specs[i] = Spec{Experiment: "stub", Seed: uint64(i + 1)}
-		}
-		writePendingFile(t, dir, specs)
+		specs := []Spec{{Experiment: "stub", Seed: 1}, {Experiment: "stub", Seed: 2}, {Experiment: "stub", Seed: 3}}
+		writeLiveAccepts(t, dir, specs)
 		gate := make(chan struct{})
-		// One worker slot plus one queue slot: at most two of the six
-		// checkpointed jobs fit; the rest must be counted as dropped.
+		// One worker slot plus one queue slot: two of the three live
+		// records fit; replay retries the third for about a second,
+		// then counts it dropped and leaves it live.
 		s := newStubServer(t, Config{CacheDir: dir, QueueDepth: 1, Workers: 1}, gate)
 		st := s.Stats()
-		if st.PendingDropped < 4 {
-			t.Fatalf("PendingDropped = %d, want >= 4 (only 2 of 6 can fit)", st.PendingDropped)
+		if st.PendingDropped != 1 {
+			t.Fatalf("PendingDropped = %d, want 1 (only 2 of 3 can fit)", st.PendingDropped)
 		}
-		admitted := len(s.listJobs())
-		if admitted+int(st.PendingDropped) != len(specs) {
-			t.Fatalf("admitted %d + dropped %d != checkpointed %d",
-				admitted, st.PendingDropped, len(specs))
+		if admitted := len(s.listJobs()); admitted+int(st.PendingDropped) != len(specs) {
+			t.Fatalf("admitted %d + dropped %d != journaled %d", admitted, st.PendingDropped, len(specs))
+		}
+		if st.Journal.Live != len(specs) {
+			t.Fatalf("journal live = %d, want %d (a queue-full drop stays live)", st.Journal.Live, len(specs))
 		}
 		close(gate)
 	})
 }
 
-func writePendingFile(t *testing.T, dir string, specs []Spec) {
+// writeLiveAccepts journals an accept record for each spec, as a prior
+// run would have left them: the content hash of a spec the stub
+// registry knows, a fixed stand-in for one it does not.
+func writeLiveAccepts(t *testing.T, dir string, specs []Spec) {
 	t.Helper()
-	b, err := json.MarshalIndent(struct {
-		Schema string `json:"schema"`
-		Specs  []Spec `json:"specs"`
-	}{Schema: "colt-pending/1", Specs: specs}, "", "  ")
+	jl, _, err := openJournal(faultfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, pendingFile), append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	defer jl.Close()
+	for i, spec := range specs {
+		hash := fmt.Sprintf("%064x", i)
+		if can, err := Canonicalize(spec, stubRegistry(nil)); err == nil {
+			hash = can.Hash
+		}
+		if err := jl.Accept(hash, spec, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -15,16 +15,15 @@ import (
 	"colt/internal/server/faultfs"
 )
 
-// countingFS counts the cache entry reads (<key>.json; not sidecars,
-// not the index) that pass through a cache's filesystem seam.
+// countingFS counts the cache entry reads (<key>.json, not sidecars)
+// that pass through a cache's filesystem seam.
 type countingFS struct {
 	faultfs.FS
 	entryReads atomic.Int64
 }
 
 func (c *countingFS) ReadFile(name string) ([]byte, error) {
-	if base := filepath.Base(name); strings.HasSuffix(base, ".json") &&
-		!strings.HasSuffix(base, metaSuffix) && base != cacheIndexFile {
+	if base := filepath.Base(name); strings.HasSuffix(base, ".json") && !strings.HasSuffix(base, metaSuffix) {
 		c.entryReads.Add(1)
 	}
 	return c.FS.ReadFile(name)

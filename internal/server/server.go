@@ -3,14 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"log"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -26,10 +23,6 @@ import (
 	"colt/internal/server/faultfs"
 	"colt/internal/telemetry"
 )
-
-// pendingFile checkpoints queued-but-unstarted job specs at drain so
-// a restarted daemon can resubmit them.
-const pendingFile = "pending.json"
 
 // maxKeptReportBytes caps, across the server, the report bytes done
 // jobs hold for their first fetch (Job.kept). A job that would pass
@@ -73,7 +66,7 @@ type Config struct {
 	// experiments.Registry()). Tests stub it with fast fakes.
 	Registry []experiments.NamedExperiment
 	// DiskFaults injects deterministic filesystem faults into every
-	// durable write (cache entries, journal appends, checkpoints) —
+	// durable write (cache entries, journal appends and compactions) —
 	// the chaos harness's disk-failure plane. Zero value disables.
 	DiskFaults fault.Spec
 	// DiskFaultSeed seeds the fault plane's per-site streams.
@@ -182,7 +175,7 @@ type Server struct {
 	queueSlots     atomic.Int64 // remaining queue capacity; admission wins a slot before minting an ID
 	simulations    atomic.Uint64
 	coalesced      atomic.Uint64
-	pendingDropped atomic.Uint64 // checkpointed jobs lost on restart resubmission
+	pendingDropped atomic.Uint64 // journaled jobs a restart's replay could not resubmit
 	deadlineShed   atomic.Uint64 // jobs shed or canceled for blowing their deadline
 
 	// Disk circuit breaker: consecutive durable-write failures trip it
@@ -200,10 +193,6 @@ type Server struct {
 	// (maxKeptReportBytes; tests lower it).
 	keptBytes atomic.Int64
 	keptLimit int64
-
-	pendingMu     sync.Mutex
-	pending       []Spec   // checkpointed at drain
-	pendingHashes []string // content hashes matching pending, for journal commit
 
 	// retryRng jitters Retry-After values so a crowd of refused
 	// clients doesn't return in one synchronized wave.
@@ -233,9 +222,9 @@ type Server struct {
 }
 
 // NewServer builds a server, opens (or creates) its cache and
-// accepted-job journal, replays journaled work a crash left
-// unresolved, resubmits any drain-checkpointed jobs from a prior run,
-// and starts its workers and disk-probe loop.
+// accepted-job journal, replays the journaled work a prior run left
+// unresolved — a crash's in-flight and queued jobs, a drain's queued
+// ones — and starts its workers and disk-probe loop.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	fsys := faultfs.OS()
@@ -311,10 +300,6 @@ func NewServer(cfg Config) (*Server, error) {
 		s.stop()
 		return nil, err
 	}
-	if err := s.resubmitPending(); err != nil {
-		s.stop()
-		return nil, err
-	}
 	go s.probeLoop()
 	if s.cluster != nil {
 		s.cluster.Start()
@@ -322,14 +307,18 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// replayJournal resubmits the accepted-but-unresolved jobs of a
-// crashed run, in first-accept order. Each resubmission re-accepts
-// itself under the same content hash (duplicates collapse), and a
-// spec whose report landed in the cache before the crash completes
-// instantly as a cache hit — replay is idempotent, never a recompute
-// storm. A momentarily full queue is retried briefly (workers free
-// slots as they dequeue); what still cannot be admitted is counted in
-// PendingDropped rather than silently vanishing.
+// replayJournal resubmits the accepted-but-unresolved jobs of a prior
+// run, in first-accept order. Each resubmission re-accepts itself
+// under the same content hash (duplicates collapse), and a spec whose
+// report landed in the cache before the crash completes instantly as
+// a cache hit — replay is idempotent, never a recompute storm. A
+// momentarily full queue is retried briefly (workers free slots as
+// they dequeue); what still cannot be admitted is counted in
+// PendingDropped rather than silently vanishing. A record refused for
+// any reason but a full queue (an experiment the registry no longer
+// knows, a spec past MaxRefs) is committed once counted, so it is
+// dropped once, not on every boot; a queue-full drop stays live and
+// is retried by the next boot.
 func (s *Server) replayJournal(replay []journalLive) error {
 	if s.journal == nil || len(replay) == 0 {
 		return nil
@@ -348,6 +337,9 @@ func (s *Server) replayJournal(replay []journalLive) error {
 		if err != nil {
 			dropped++
 			log.Printf("server: dropping journaled job (experiment %q): %v", rec.Spec.Experiment, err)
+			if !errors.Is(err, ErrQueueFull) {
+				s.journalCommit(rec.Hash)
+			}
 			continue
 		}
 		s.journalReplayed.Add(1)
@@ -364,44 +356,6 @@ func (s *Server) replayJournal(replay []journalLive) error {
 		log.Printf("server: journal compaction after replay failed: %v", err)
 	}
 	return nil
-}
-
-// resubmitPending replays the drain checkpoint of a prior run.
-// Whatever was computed before the drain is now in the cache, so
-// resubmitted specs that overlap it complete instantly. Entries the
-// restarted daemon cannot admit — a spec the current registry no
-// longer knows, a queue already refilled — are counted, logged, and
-// surfaced as Stats.PendingDropped rather than silently vanishing.
-func (s *Server) resubmitPending() error {
-	if s.cfg.CacheDir == "" {
-		return nil
-	}
-	path := filepath.Join(s.cfg.CacheDir, pendingFile)
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("server: reading pending checkpoint: %w", err)
-	}
-	var cp struct {
-		Specs []Spec `json:"specs"`
-	}
-	if err := json.Unmarshal(raw, &cp); err != nil {
-		return fmt.Errorf("server: parsing pending checkpoint: %w", err)
-	}
-	dropped := 0
-	for _, spec := range cp.Specs {
-		if _, err := s.Submit(spec); err != nil {
-			dropped++
-			log.Printf("server: dropping checkpointed job (experiment %q): %v", spec.Experiment, err)
-		}
-	}
-	if dropped > 0 {
-		s.pendingDropped.Add(uint64(dropped))
-		log.Printf("server: dropped %d of %d checkpointed jobs on restart", dropped, len(cp.Specs))
-	}
-	return os.Remove(path)
 }
 
 // Cache exposes the result cache (read-mostly: stats and report
@@ -688,8 +642,8 @@ func (s *Server) reserveSlot() bool {
 func (s *Server) isDraining() bool { return s.draining.Load() }
 
 // worker consumes the queue. Once a drain begins, undispatched jobs
-// are checkpointed instead of executed; the job a worker is already
-// inside when the drain starts runs to completion.
+// are left to the journal instead of executed; the job a worker is
+// already inside when the drain starts runs to completion.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
@@ -712,21 +666,19 @@ func (s *Server) worker() {
 	}
 }
 
-// checkpoint records a queued job's spec for the next run and closes
-// the job as canceled.
+// checkpoint closes a job still queued at drain as canceled and
+// leaves its accept record live, so the next boot's replay runs it. A
+// job admitted without a record (breaker open, or its append failed)
+// is journaled now — unless the breaker is open at drain, when the
+// disk gets no writes and the job is lost like any unjournaled one.
 func (s *Server) checkpoint(j *Job) {
-	if j.stateFast().terminal() {
-		s.dropInflight(j)
-		return
+	if !j.stateFast().terminal() {
+		if s.journal != nil && !s.degraded.Load() && !s.journal.Has(j.Can.Hash) {
+			s.journalAccept(j.Can, j.TraceID())
+		}
+		j.finish(JobCanceled, "queued at drain; replayed on restart", time.Now())
 	}
-	s.pendingMu.Lock()
-	s.pending = append(s.pending, j.Can.Spec)
-	s.pendingHashes = append(s.pendingHashes, j.Can.Hash)
-	s.pendingMu.Unlock()
-	j.finish(JobCanceled, "checkpointed at drain; resubmitted on restart", time.Now())
 	s.dropInflight(j)
-	// The journal record stays live until savePending lands — Drain
-	// commits it only once pending.json durably owns the spec.
 }
 
 func (s *Server) dropInflight(j *Job) {
@@ -919,14 +871,14 @@ func (s *Server) Cancel(id string) bool {
 }
 
 // Drain gracefully shuts the server down: refuse new submissions,
-// let in-flight jobs finish (their results land in the cache),
-// checkpoint still-queued jobs to pending.json, release their journal
-// records (only once the checkpoint durably owns them), compact the
-// journal, and flush the cache index so a restart reuses every
-// completed result. Idempotent; ctx bounds the wait for in-flight
-// work. While the disk breaker is open the disk steps are skipped —
-// a degraded daemon exits cleanly with its journal intact from before
-// the degrade, which is exactly the crash-recovery story.
+// let in-flight jobs finish (their results land in the cache), cancel
+// still-queued jobs with their journal records left live (checkpoint),
+// and compact the journal to that live set, so a restart replays
+// exactly the queued work and reuses every completed result.
+// Idempotent; ctx bounds the wait for in-flight work. While the disk
+// breaker is open the compaction is skipped — a degraded daemon exits
+// cleanly with its journal intact from before the degrade, which is
+// exactly the crash-recovery story.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.admitMu.Lock()
@@ -952,67 +904,25 @@ func (s *Server) Drain(ctx context.Context) error {
 			s.drainErr = fmt.Errorf("server: drain interrupted: %w", ctx.Err())
 			return
 		}
+		if s.journal == nil {
+			return
+		}
 		if s.degraded.Load() {
-			log.Printf("server: draining degraded; skipping checkpoint/index writes (journal keeps pre-degrade accepts live for replay)")
-			if s.journal != nil {
-				s.journal.Close()
-			}
-			return
+			log.Printf("server: draining degraded; skipping journal compaction (journal keeps pre-degrade accepts live for replay)")
+		} else if err := s.journal.Compact(); err != nil {
+			// Everything live here is queued work left for replay, or a
+			// running job Close canceled; the uncompacted WAL holds the
+			// same live set.
+			log.Printf("server: journal compaction at drain failed: %v", err)
 		}
-		if err := s.savePending(); err != nil {
-			s.drainErr = err
-			if s.journal != nil {
-				s.journal.Close()
-			}
-			return
-		}
-		if s.journal != nil {
-			// pending.json now owns the checkpointed specs; their WAL
-			// records can resolve. Everything else live at this point
-			// was either committed on completion or deliberately left
-			// for replay (shutdown-canceled running jobs under Close).
-			s.pendingMu.Lock()
-			hashes := append([]string(nil), s.pendingHashes...)
-			s.pendingMu.Unlock()
-			for _, h := range hashes {
-				s.journalCommit(h)
-			}
-			if err := s.journal.Compact(); err != nil {
-				log.Printf("server: journal compaction at drain failed: %v", err)
-			}
-			s.journal.Close()
-		}
-		s.drainErr = s.cache.SaveIndex()
+		s.journal.Close()
 	})
 	return s.drainErr
 }
 
-// savePending writes the drain checkpoint (disk-backed caches only,
-// and only when something was left queued).
-func (s *Server) savePending() error {
-	s.pendingMu.Lock()
-	specs := append([]Spec(nil), s.pending...)
-	s.pendingMu.Unlock()
-	if s.cfg.CacheDir == "" || len(specs) == 0 {
-		return nil
-	}
-	b, err := json.MarshalIndent(struct {
-		Schema string `json:"schema"`
-		Specs  []Spec `json:"specs"`
-	}{Schema: "colt-pending/1", Specs: specs}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("server: encoding pending checkpoint: %w", err)
-	}
-	path := filepath.Join(s.cfg.CacheDir, pendingFile)
-	if err := faultfs.WriteFileSync(s.fsys, path, append(b, '\n')); err != nil {
-		return fmt.Errorf("server: writing pending checkpoint: %w", err)
-	}
-	return nil
-}
-
 // Close hard-stops the server: cancel every running job, then drain
-// (which still flushes the cache index). Tests use it; production
-// shutdown uses Drain.
+// (their journal records stay live, as after a crash). Tests use it;
+// production shutdown uses Drain.
 func (s *Server) Close() error {
 	s.stop()
 	return s.Drain(context.Background())
@@ -1028,7 +938,7 @@ type Stats struct {
 	// coalesced submissions never add one).
 	Simulations uint64 `json:"simulations"`
 	Coalesced   uint64 `json:"coalesced"`
-	// PendingDropped counts drain-checkpointed jobs a restarted daemon
+	// PendingDropped counts journaled jobs a restarted daemon's replay
 	// could not resubmit (unknown experiment, refilled queue).
 	PendingDropped uint64 `json:"pending_dropped"`
 	// Degraded reports the disk circuit breaker is open: the daemon is

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -258,13 +257,14 @@ func TestCancelRunningJob(t *testing.T) {
 
 // TestDrainCheckpointsQueuedAndRestartReuses is the drain state
 // machine end to end: the in-flight job finishes and lands in the
-// cache, queued jobs are checkpointed to pending.json, the index is
-// flushed, and a restarted server both resubmits the checkpoint and
-// serves the finished result from cache.
+// cache, every still-queued job keeps a live journal record — one
+// admitted while the disk breaker was open is journaled at drain — and
+// a restarted server replays exactly those jobs and serves the
+// finished result from cache.
 func TestDrainCheckpointsQueuedAndRestartReuses(t *testing.T) {
 	dir := t.TempDir()
 	gate := make(chan struct{})
-	cfg := Config{CacheDir: dir, Workers: 1, QueueDepth: 8}
+	cfg := Config{CacheDir: dir, Workers: 1, QueueDepth: 8, BreakerThreshold: 1, ProbeInterval: 10 * time.Millisecond}
 	cfg.Registry = stubRegistry(gate)
 	s, err := NewServer(cfg)
 	if err != nil {
@@ -275,22 +275,22 @@ func TestDrainCheckpointsQueuedAndRestartReuses(t *testing.T) {
 	waitState(t, inflight.Job, JobRunning)
 	queuedA := mustSubmit(t, s, Spec{Experiment: "stub", Seed: 2})
 	queuedB := mustSubmit(t, s, Spec{Experiment: "stub", Seed: 3})
+	// Trip the breaker by hand (the disk is healthy, so the next probe
+	// closes it): the third queued job is admitted without a record.
+	s.noteDiskOp(errors.New("synthetic disk failure"))
+	queuedC := mustSubmit(t, s, Spec{Experiment: "stub", Seed: 4})
+	if st := s.Stats(); !st.Degraded || st.Journal.SkippedDegraded != 1 || st.Journal.Live != 3 {
+		t.Fatalf("stats %+v, journal %+v; want degraded, 1 skipped accept, 3 live", st, st.Journal)
+	}
+	waitStats(t, s, "breaker to close", func(st Stats) bool { return !st.Degraded })
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()
-	// Admission must refuse as soon as the drain begins. (Submissions
-	// racing the flag may still be admitted and checkpointed — that is
-	// the contract, not a bug — so assertions below check containment,
-	// not exact counts.)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := s.Submit(Spec{Experiment: "stub", Seed: 4}); errors.Is(err, ErrDraining) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("draining server kept accepting submissions")
-		}
-		time.Sleep(2 * time.Millisecond)
+	for !s.isDraining() {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := s.Submit(Spec{Experiment: "stub", Seed: 5}); !errors.Is(err, ErrDraining) {
+		t.Fatalf("draining server admitted a submission: %v", err)
 	}
 	close(gate) // let the in-flight job finish
 	if err := <-drained; err != nil {
@@ -304,32 +304,18 @@ func TestDrainCheckpointsQueuedAndRestartReuses(t *testing.T) {
 	if !ok {
 		t.Fatal("in-flight job's result lost across drain")
 	}
-	for _, q := range []*Job{queuedA.Job, queuedB.Job} {
+	for _, q := range []*Job{queuedA.Job, queuedB.Job, queuedC.Job} {
 		if st, _ := q.State(); st != JobCanceled {
-			t.Fatalf("queued job state = %s, want canceled (checkpointed)", st)
+			t.Fatalf("queued job state = %s, want canceled (left for replay)", st)
 		}
 	}
-	var cp struct {
-		Specs []Spec `json:"specs"`
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, pendingFile))
-	if err != nil {
-		t.Fatalf("pending checkpoint not written: %v", err)
-	}
-	if err := json.Unmarshal(raw, &cp); err != nil {
-		t.Fatalf("pending checkpoint %s unparseable: %v", raw, err)
-	}
-	seeds := make(map[uint64]bool)
-	for _, sp := range cp.Specs {
-		seeds[sp.Seed] = true
-	}
-	if !seeds[2] || !seeds[3] {
-		t.Fatalf("pending checkpoint %s missing the queued specs", raw)
+	if live := s.journal.Live(); live != 3 {
+		t.Fatalf("journal live = %d after drain, want the 3 queued jobs", live)
 	}
 
-	// Restart: checkpointed specs are resubmitted (and now execute,
-	// the gate registry is fresh and open), and the finished result is
-	// served from the reloaded cache without simulating.
+	// Restart: the journal replays the queued jobs (they now execute,
+	// the registry is fresh and open), and the finished result is
+	// served from the reopened cache without simulating.
 	cfg2 := Config{CacheDir: dir, Workers: 1}
 	cfg2.Registry = stubRegistry(nil)
 	s2, err := NewServer(cfg2)
@@ -337,9 +323,10 @@ func TestDrainCheckpointsQueuedAndRestartReuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s2.Close() })
-	if _, err := os.Stat(filepath.Join(dir, pendingFile)); !os.IsNotExist(err) {
-		t.Fatal("pending checkpoint not consumed on restart")
+	if st := s2.Stats(); st.Journal.Replayed != 3 || st.PendingDropped != 0 {
+		t.Fatalf("restart replayed %d jobs, dropped %d; want 3 and 0", st.Journal.Replayed, st.PendingDropped)
 	}
+	waitStats(t, s2, "replayed jobs to finish", func(st Stats) bool { return st.Jobs[JobDone] == 3 })
 	res := mustSubmit(t, s2, Spec{Experiment: "stub", Seed: 1})
 	if !res.Cached {
 		t.Fatal("restarted server did not reuse the drained result")
@@ -348,17 +335,8 @@ func TestDrainCheckpointsQueuedAndRestartReuses(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("restarted serve is not byte-identical")
 	}
-	// The resubmitted checkpoints complete on their own.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		st := s2.Stats()
-		if st.Jobs[JobDone] >= 3 { // 2 resubmitted + 1 cache hit
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("resubmitted checkpoints never completed: %+v", st.Jobs)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if st := s2.Stats(); st.Simulations != 3 {
+		t.Fatalf("restart ran %d simulations, want exactly the 3 queued jobs", st.Simulations)
 	}
 }
 

@@ -12,8 +12,8 @@
 // control (bounded queue depth and a per-request reference ceiling,
 // refusing with 429/503 + Retry-After), request coalescing (identical
 // in-flight specs share one execution), per-endpoint latency and
-// inflight counters, and graceful drain (finish in-flight work,
-// checkpoint the rest, flush the cache index).
+// inflight counters, and graceful drain (finish in-flight work, leave
+// the queued rest journaled for the next boot to replay).
 package server
 
 import (
@@ -93,7 +93,7 @@ type canonicalSpec struct {
 // QuickOptions). quick:true has no spelled-out equivalent: cold
 // scale, churn ops and mid-run churn are not spec fields.
 type CanonicalJob struct {
-	Spec Spec // the submission as received (checkpointing re-submits it)
+	Spec Spec // the submission as received (journal replay re-submits it)
 	Exp  experiments.NamedExperiment
 	Opts experiments.Options
 	Hash string

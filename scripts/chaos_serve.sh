@@ -6,9 +6,11 @@
 # and several queued. Restart on the same cache dir and assert the
 # journal replays exactly the accepted-but-unresolved jobs (counted
 # straight out of journal.wal), every accepted job's result becomes
-# servable (zero lost jobs), the pre-crash report is returned
-# byte-identically, and a corrupted index.json is rebuilt from the
-# entry sidecars on the next boot.
+# servable (zero lost jobs), and the pre-crash report is returned
+# byte-identically. Then flip one byte of that report's cache entry
+# and reboot: open admits the entry from its sidecar, the first read
+# catches the bad bytes, and the resubmission recomputes the pre-crash
+# report byte-identically with one corrupt entry counted.
 #
 # Phase 2 — fault storm: boot coltd with every fsync failing
 # (-disk-faults fsync-fail=1). The daemon must degrade, not die:
@@ -154,17 +156,30 @@ if grep -q '"op":"accept"' "$cache/journal.wal" 2>/dev/null; then
     fail "journal still holds accept records after a clean drain"
 fi
 
-# A corrupted index is rebuilt from the entry sidecars on boot.
-echo "chaos-serve: corrupting index.json and rebooting"
-printf '{"torn' >"$cache/index.json"
+# Corrupted entry bytes are never served: boot admits the entry from
+# its sidecar without reading it, and the first read verifies it.
+echo "chaos-serve: corrupting the landed entry's bytes and rebooting"
+landed_hash=$(sed -n 's/.*"hash": "\([0-9a-f]*\)".*/\1/p' "$work/landed.json" | head -n 1)
+entry="$cache/$landed_hash.json"
+[ -f "$entry" ] || fail "no cache entry for the landed report ($entry)"
+printf 'X' | dd of="$entry" bs=1 count=1 conv=notrunc 2>/dev/null
+cmp -s "$entry" "$work/report_precrash.json" && fail "the byte flip left the entry unchanged"
 start_daemon boot3 -workers 1
-submit "$landed" "$work/rebuilt.json"
-grep -q '"cached": true' "$work/rebuilt.json" \
-    || fail "cache entry lost after index rebuild: $(cat "$work/rebuilt.json")"
+submit "$landed" "$work/recomputed.json"
+grep -q '"cached": false' "$work/recomputed.json" \
+    || fail "corrupted entry served as a cache hit: $(cat "$work/recomputed.json")"
+wait_state "$id" done 150
+$CURL "$base/v1/jobs/$id/report" >"$work/report_recomputed.json" \
+    || fail "recomputed report fetch failed"
+cmp -s "$work/report_precrash.json" "$work/report_recomputed.json" \
+    || fail "recomputed report differs from the pre-crash bytes"
+$CURL "$base/v1/stats" >"$work/stats.json" || fail "stats fetch failed"
+grep -q '"corrupt": 1' "$work/stats.json" \
+    || fail "corrupted entry not counted: $(cat "$work/stats.json")"
 kill -TERM "$daemon_pid"
 rc=0; wait "$daemon_pid" || rc=$?
 daemon_pid=""
-[ "$rc" -eq 0 ] || fail "daemon exited with status $rc after index rebuild"
+[ "$rc" -eq 0 ] || fail "daemon exited with status $rc after the corrupt-entry recompute"
 
 # ---------------------------------------------------------------- phase 2
 echo "chaos-serve: phase 2: fault storm must degrade, not kill"
@@ -190,4 +205,4 @@ daemon_pid=""
 [ "$rc" -eq 0 ] || fail "degraded daemon exited with status $rc on SIGTERM (degrade-don't-die)"
 grep -q "drained cleanly" "$work/coltd.log" || fail "degraded daemon missing clean-drain line"
 
-echo "chaos-serve: OK (replayed $replayed accepted jobs, byte-identical recovery, degraded serve survived)"
+echo "chaos-serve: OK (replayed $replayed accepted jobs, byte-identical recovery, corrupt entry recomputed, degraded serve survived)"

@@ -5,7 +5,8 @@
 # serve is a byte-identical cache hit with no additional simulation,
 # check the observability surface (healthz/readyz, the X-Colt-Trace
 # header, and a valid /metrics exposition with completed jobs on it),
-# then SIGTERM the daemon and assert it drains cleanly.
+# then SIGTERM the daemon and assert it drains cleanly, leaving the
+# entry's meta sidecar (the cache index the next boot reads) on disk.
 set -eu
 
 GO=${GO:-go}
@@ -116,6 +117,6 @@ wait "$daemon_pid" || rc=$?
 daemon_pid=""
 [ "$rc" -eq 0 ] || fail "daemon exited with status $rc on SIGTERM"
 grep -q "drained cleanly" "$work/coltd.log" || fail "daemon log missing clean-drain line"
-[ -f "$work/cache/index.json" ] || fail "drain did not flush the cache index"
+ls "$work/cache"/*.meta.json >/dev/null 2>&1 || fail "drained cache dir holds no entry sidecar"
 
 echo "serve-smoke: OK (byte-identical cached serve, clean drain)"
