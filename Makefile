@@ -52,10 +52,11 @@ golden:
 golden-update:
 	$(GO) test ./internal/experiments -run TestGoldens -update
 
-# Wall-clock scaling of the parallel experiment engine (identical
-# output at every width; see EXPERIMENTS.md for recorded numbers).
+# Wall-clock scaling of the parallel experiment engine on the quick
+# Figure 18 evaluation (identical output at every width; see
+# EXPERIMENTS.md for recorded numbers).
 bench-parallel:
-	$(GO) test -bench ParallelFig18 -cpu 1,4,8 -benchtime 3x -run '^$$' .
+	$(GO) test -bench 'Registry/fig18$$' -cpu 1,4,8 -benchtime 3x -run '^$$' .
 
 # The repository benchmark (bench/) is a Go module of its own, so the
 # root `go test ./...` never compiles it. Its smoke test runs every
@@ -87,14 +88,19 @@ fuzz-buddy:
 
 # Short fuzz runs of the serving layer's untrusted inputs: submit
 # bodies through canonicalization (limits, hash stability, spelled-out
-# options), journal tails after a sealed prefix, and a cache directory
+# options), journal tails after a sealed prefix, a cache directory
 # whose entry and sidecar are replaced by fuzzed bytes beside a fuzzed
 # stale index.json that must change nothing (nothing unverified is
-# served). CI runs the corpora only, via `make test`.
+# served), and the cluster's two peer inputs: heartbeat bodies (the
+# ring stays within the configured fleet) and peer-fill responses
+# (only bytes matching their claimed SHA-256 are returned). CI runs
+# the corpora only, via `make test`.
 fuzz-serve:
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzCanonicalize -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzJournalReplay -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzCacheOpen -fuzztime 30s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzHeartbeat -fuzztime 30s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFetchReport -fuzztime 30s
 
 # Serve-path smoke: boot coltd on an ephemeral port, submit a quick
 # table1 job, assert the identical resubmission is a byte-identical
@@ -115,9 +121,9 @@ cluster-smoke:
 # observability stack, the OS memory model and its vm layer, the
 # cluster layer, the fault core, the page table, the data caches, the
 # load generator with its coltload command, the TLB structures
-# (internal/core), the page walker (internal/mmu) and the serving
-# layer's spec boundary (internal/server)) must meet its checked-in
-# minimum.
+# (internal/core), the page walker (internal/mmu), the serving
+# layer's spec boundary (internal/server), the experiments CLI and
+# the scheduler (internal/sched)) must meet its checked-in minimum.
 cover:
 	@set -e; \
 	while read -r pkg floor; do \

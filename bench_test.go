@@ -1,6 +1,6 @@
 package colt
 
-// The benchmark harness: one testing.B target per paper artifact
+// The benchmark harness: one sub-benchmark per registry artifact
 // (DESIGN.md's per-experiment index), each regenerating the table or
 // figure at a reduced but structurally identical scale, plus
 // micro-benchmarks for the simulator's hot paths. Run the cmd/
@@ -21,152 +21,25 @@ import (
 	"colt/internal/workload"
 )
 
-// benchOpts shrinks runs so the full -bench=. sweep stays tractable.
-func benchOpts() experiments.Options {
-	o := experiments.QuickOptions()
-	o.Refs = 30_000
-	o.Warmup = 3_000
-	return o
-}
-
-// BenchmarkTable1 regenerates Table 1 (real-system L1/L2 MPMI with THS
-// on and off).
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigures7to9 regenerates the THS-on contiguity CDFs.
-func BenchmarkFigures7to9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ContiguityCDFs(experiments.SetupTHSOnNormal, benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigures10to12 regenerates the THS-off contiguity CDFs.
-func BenchmarkFigures10to12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ContiguityCDFs(experiments.SetupTHSOffNormal, benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigures13to15 regenerates the low-compaction contiguity CDFs.
-func BenchmarkFigures13to15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ContiguityCDFs(experiments.SetupTHSOffLow, benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure16 regenerates the THS-on memhog sweep.
-func BenchmarkFigure16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure16(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure17 regenerates the THS-off memhog sweep.
-func BenchmarkFigure17(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure17(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure18 regenerates the miss-elimination comparison
-// (baseline vs CoLT-SA/FA/All); Figure 21's performance numbers derive
-// from the same evaluation run.
-func BenchmarkFigure18(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ev, err := experiments.RunStandardEvaluation(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows := ev.Eliminations(); len(rows) != 14 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
-// BenchmarkParallelFig18 measures the experiment engine's scaling: the
-// same quick Figure 18 evaluation with the worker count following
-// GOMAXPROCS, so `go test -bench ParallelFig18 -cpu 1,4,8` reports the
-// wall-clock at 1, 4, and 8 workers. Output is identical at every
-// width (TestParallelDeterminism); only the time changes.
-func BenchmarkParallelFig18(b *testing.B) {
-	opts := benchOpts()
-	opts.Parallel = 0 // track GOMAXPROCS, i.e. the -cpu value
-	for i := 0; i < b.N; i++ {
-		ev, err := experiments.RunStandardEvaluation(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows := ev.Eliminations(); len(rows) != 14 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
-// BenchmarkFigure19 regenerates the CoLT-SA index left-shift sweep.
-func BenchmarkFigure19(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure19(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure20 regenerates the L2 associativity study.
-func BenchmarkFigure20(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure20(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure21 regenerates the performance-improvement comparison
-// (perfect TLB vs the CoLT designs).
-func BenchmarkFigure21(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ev, err := experiments.RunStandardEvaluation(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows := ev.Performance(); len(rows) != 14 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
-// BenchmarkAblationFAL2Fill regenerates the §7.1.3 CoLT-FA L2-fill
-// ablation.
-func BenchmarkAblationFAL2Fill(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationFAL2Fill(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationAllL2Fill regenerates the §7.1.3 CoLT-All L2-fill
-// ablation.
-func BenchmarkAblationAllL2Fill(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationAllL2Fill(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkRegistry regenerates every registry artifact at a reduced
+// but structurally identical scale, one sub-benchmark per entry
+// (Registry/table1 … Registry/timeline). Entries are independent, so
+// Registry/fig21 re-runs the evaluation Registry/fig18 times. The
+// worker count follows GOMAXPROCS, so `-bench 'Registry/fig18$' -cpu
+// 1,4,8` reports the engine's wall-clock at 1, 4 and 8 workers; the
+// output is identical at every width (TestParallelDeterminism).
+func BenchmarkRegistry(b *testing.B) {
+	opts := experiments.QuickOptions()
+	opts.Refs = 30_000
+	opts.Warmup = 3_000
+	for _, e := range experiments.Registry() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -292,62 +165,5 @@ func BenchmarkWorkloadStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Next()
-	}
-}
-
-// BenchmarkPrefetchComparison regenerates the CoLT-vs-prefetching
-// extension table.
-func BenchmarkPrefetchComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PrefetchComparison(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRefinementsAblation regenerates the future-work refinements
-// ablation.
-func BenchmarkRefinementsAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RefinementsAblation(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVirtualization regenerates the nested-paging extension.
-func BenchmarkVirtualization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.VirtualizationComparison(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSupSizeSensitivity regenerates the superpage-TLB size sweep.
-func BenchmarkSupSizeSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SupSizeSensitivity(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkL2SizeSensitivity regenerates the L2 TLB size sweep.
-func BenchmarkL2SizeSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.L2SizeSensitivity(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSubblockComparison regenerates the CoLT-vs-subblocking
-// extension table.
-func BenchmarkSubblockComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SubblockComparison(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -183,258 +183,17 @@ func writeHeapProfile(path string) error {
 	return nil
 }
 
-// experiment is one runnable entry of the registry.
-type experiment struct {
-	name string
-	desc string
-	run  func(opts experiments.Options) error
-	// skipAll excludes the entry from -exp all (diagnostics).
-	skipAll bool
-}
-
-// evalCache memoizes the standard evaluation so "-exp all" runs it once
-// for both Figure 18 and Figure 21. The cache collects the evaluation's
-// metrics records into its own collector and merges them into each
-// caller's, so both figures' reports carry the shared records.
-type evalCache struct {
-	ev  *experiments.Evaluation
-	rec *metrics.Collector
-}
-
-func (c *evalCache) get(opts experiments.Options) (*experiments.Evaluation, error) {
-	if c.ev == nil {
-		inner := opts
-		if opts.Metrics != nil {
-			c.rec = metrics.NewCollector()
-			inner.Metrics = c.rec
-		}
-		ev, err := experiments.RunStandardEvaluation(inner)
-		if err != nil {
-			return nil, err
-		}
-		c.ev = ev
-	}
-	if opts.Metrics != nil {
-		opts.Metrics.Merge(c.rec)
-	}
-	return c.ev, nil
-}
-
-// registry returns the ordered experiment table. It is built per run()
-// call so the fig18/fig21 shared evaluation cache never leaks between
-// invocations.
-func registry() []experiment {
-	var std evalCache
-	return []experiment{
-		{name: "table1", desc: "Table 1: real-system TLB MPMI, THS on/off",
-			run: func(opts experiments.Options) error {
-				rows, err := experiments.Table1(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println("Table 1: real-system TLB misses per million instructions")
-				fmt.Println(experiments.RenderTable1(rows))
-				return nil
-			}},
-		{name: "contig", desc: "Figures 7-15: contiguity CDFs per kernel configuration",
-			run: func(opts experiments.Options) error {
-				for _, setup := range []experiments.SystemSetup{
-					experiments.SetupTHSOnNormal,  // Figures 7-9
-					experiments.SetupTHSOffNormal, // Figures 10-12
-					experiments.SetupTHSOffLow,    // Figures 13-15
-				} {
-					rows, err := experiments.ContiguityCDFs(setup, opts)
-					if err != nil {
-						return err
-					}
-					fmt.Println(experiments.RenderContiguity(setup, rows))
-				}
-				return nil
-			}},
-		{name: "fig16", desc: "Figure 16: average contiguity vs memhog, THS on",
-			run: func(opts experiments.Options) error {
-				rows, err := experiments.Figure16(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderMemhog("Figure 16: average contiguity, THS on, varying memhog", rows))
-				return nil
-			}},
-		{name: "fig17", desc: "Figure 17: average contiguity vs memhog, THS off",
-			run: func(opts experiments.Options) error {
-				rows, err := experiments.Figure17(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderMemhog("Figure 17: average contiguity, THS off, varying memhog", rows))
-				return nil
-			}},
-		{name: "fig18", desc: "Figure 18: % of baseline TLB misses eliminated",
-			run: func(opts experiments.Options) error {
-				ev, err := std.get(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderEliminations(
-					"Figure 18: % of baseline TLB misses eliminated",
-					[]string{"colt-sa", "colt-fa", "colt-all"}, ev.Eliminations()))
-				return nil
-			}},
-		{name: "fig19", desc: "Figure 19: CoLT-SA index left-shift sweep",
-			run: func(opts experiments.Options) error {
-				ev, err := experiments.Figure19(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderEliminations(
-					"Figure 19: % of baseline misses eliminated by CoLT-SA index left-shift",
-					[]string{"shift-1", "shift-2", "shift-3"}, ev.Eliminations()))
-				return nil
-			}},
-		{name: "fig20", desc: "Figure 20: L2 associativity study",
-			run: func(opts experiments.Options) error {
-				rows, err := experiments.Figure20(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderFigure20(rows))
-				return nil
-			}},
-		{name: "fig21", desc: "Figure 21: modeled performance improvement",
-			run: func(opts experiments.Options) error {
-				ev, err := std.get(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderPerformance(
-					[]string{"colt-sa", "colt-fa", "colt-all"}, ev.Performance()))
-				return nil
-			}},
-		{name: "fa-ablation", desc: "Ablation: CoLT-FA with/without L2 fill (§7.1.3)",
-			run: func(opts experiments.Options) error {
-				ev, err := experiments.AblationFAL2Fill(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderEliminations(
-					"Ablation (§7.1.3): CoLT-FA with/without L2 fill",
-					[]string{"fa-l2fill", "fa-nofill"}, ev.Eliminations()))
-				return nil
-			}},
-		{name: "all-ablation", desc: "Ablation: CoLT-All with/without L2 fill (§7.1.3)",
-			run: func(opts experiments.Options) error {
-				ev, err := experiments.AblationAllL2Fill(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderEliminations(
-					"Ablation (§7.1.3): CoLT-All with/without L2 fill",
-					[]string{"all-l2fill", "all-nofill"}, ev.Eliminations()))
-				return nil
-			}},
-		{name: "prefetch", desc: "Extension: CoLT vs sequential TLB prefetching",
-			run: func(opts experiments.Options) error {
-				rows, err := experiments.PrefetchComparison(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderPrefetchComparison(rows))
-				return nil
-			}},
-		{name: "subblock", desc: "Extension: CoLT-SA vs partial-subblock TLBs",
-			run: func(opts experiments.Options) error {
-				rows, err := experiments.SubblockComparison(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderSubblockComparison(rows))
-				return nil
-			}},
-		{name: "refinements", desc: "Extension: future-work refinements ablation",
-			run: func(opts experiments.Options) error {
-				ev, err := experiments.RefinementsAblation(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderEliminations(
-					"Extension: future-work refinements (graceful uncoalescing, coalescing-aware LRU)",
-					[]string{"colt-all", "all+graceful", "all+biaslru", "all+both"}, ev.Eliminations()))
-				return nil
-			}},
-		{name: "supsize", desc: "Extension: CoLT-FA superpage-TLB size sensitivity",
-			run: func(opts experiments.Options) error {
-				rows, err := experiments.SupSizeSensitivity(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderSupSizeSensitivity(rows))
-				return nil
-			}},
-		{name: "l2size", desc: "Extension: L2 TLB size sensitivity",
-			run: func(opts experiments.Options) error {
-				rows, err := experiments.L2SizeSensitivity(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderL2SizeSensitivity(rows))
-				return nil
-			}},
-		{name: "virt", desc: "Extension: CoLT under virtualization (2D walks)",
-			run: func(opts experiments.Options) error {
-				rows, err := experiments.VirtualizationComparison(opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(experiments.RenderVirtualization(rows))
-				return nil
-			}},
-		{name: "timeline", desc: "Contiguity over time under memhog pressure",
-			run: func(opts experiments.Options) error {
-				names := []string{"Mcf", "Sjeng"}
-				specs := make([]workload.Spec, len(names))
-				for i, name := range names {
-					spec, err := workload.ByName(name)
-					if err != nil {
-						return err
-					}
-					specs[i] = spec
-				}
-				series, err := experiments.Timelines(specs, experiments.SetupTHSOnMemhog50, opts, 6)
-				if err != nil {
-					return err
-				}
-				for i, points := range series {
-					if points == nil {
-						// The benchmark's job failed under -faults; its
-						// failure is reported separately.
-						continue
-					}
-					fmt.Println(experiments.RenderTimeline(names[i], experiments.SetupTHSOnMemhog50, points))
-				}
-				return nil
-			}},
-		{name: "calibrate", desc: "Diagnostic: per-benchmark calibration summary", skipAll: true,
-			run: calibrate},
-	}
-}
-
-// expNames lists every registry name (plus the "all" pseudo-entry),
-// for usage messages.
-func expNames(reg []experiment) string {
-	names := make([]string, 0, len(reg)+1)
-	for _, e := range reg {
-		names = append(names, e.name)
-	}
-	names = append(names, "all")
-	sort.Strings(names)
-	return strings.Join(names, ", ")
+// calibrateEntry is the CLI's one diagnostic entry: it runs by name
+// only, never under -exp all.
+var calibrateEntry = experiments.NamedExperiment{
+	Name: "calibrate", Desc: "Diagnostic: per-benchmark calibration summary", Text: calibrate,
 }
 
 func run(exp string, opts experiments.Options, outDir, traceDir string) error {
-	reg := registry()
+	reg := experiments.SharedRegistry()
 	if exp == "list" {
-		for _, e := range reg {
-			fmt.Printf("  %-14s %s\n", e.name, e.desc)
+		for _, e := range append(reg, calibrateEntry) {
+			fmt.Printf("  %-14s %s\n", e.Name, e.Desc)
 		}
 		fmt.Printf("  %-14s every experiment above (except diagnostics)\n", "all")
 		return nil
@@ -451,21 +210,20 @@ func run(exp string, opts experiments.Options, outDir, traceDir string) error {
 	}
 	if exp == "all" {
 		for _, e := range reg {
-			if e.skipAll {
-				continue
-			}
 			if err := runOne(e, opts, outDir, traceDir); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for _, e := range reg {
-		if e.name == exp {
+	for _, e := range append(reg, calibrateEntry) {
+		if e.Name == exp {
 			return runOne(e, opts, outDir, traceDir)
 		}
 	}
-	return fmt.Errorf("unknown experiment %q; valid experiments: %s", exp, expNames(reg))
+	names := append(experiments.RegistryNames(), calibrateEntry.Name, "all")
+	sort.Strings(names)
+	return fmt.Errorf("unknown experiment %q; valid experiments: %s", exp, strings.Join(names, ", "))
 }
 
 // runOne executes one registry entry, collecting and writing its
@@ -473,7 +231,7 @@ func run(exp string, opts experiments.Options, outDir, traceDir string) error {
 // -trace-events is set. With -faults, a collector is attached even
 // without -out so injected job failures are reported rather than
 // silently dropped with the degraded rows.
-func runOne(e experiment, opts experiments.Options, outDir, traceDir string) error {
+func runOne(e experiments.NamedExperiment, opts experiments.Options, outDir, traceDir string) error {
 	if traceDir != "" {
 		// A fresh set per experiment, so each registry entry exports its
 		// own DIR/<name>.trace.json.
@@ -484,7 +242,8 @@ func runOne(e experiment, opts experiments.Options, outDir, traceDir string) err
 		col = metrics.NewCollector()
 		opts.Metrics = col
 	}
-	runErr := e.run(opts)
+	text, runErr := e.Text(opts)
+	fmt.Print(text)
 	if runErr != nil && !errors.Is(runErr, context.Canceled) {
 		return runErr
 	}
@@ -493,27 +252,27 @@ func runOne(e experiment, opts experiments.Options, outDir, traceDir string) err
 	// canceled-failure entries, and flushing them is the whole point
 	// of draining instead of dying.
 	if col != nil {
-		printFailures(e.name, col)
+		printFailures(e.Name, col)
 	}
 	if outDir != "" {
-		report, err := col.Report(e.name, opts.Snapshot()).StableJSON()
+		report, err := col.Report(e.Name, opts.Snapshot()).StableJSON()
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		if err := os.WriteFile(filepath.Join(outDir, e.name+".json"), report, 0o644); err != nil {
-			return fmt.Errorf("%s: writing report: %w", e.name, err)
+		if err := os.WriteFile(filepath.Join(outDir, e.Name+".json"), report, 0o644); err != nil {
+			return fmt.Errorf("%s: writing report: %w", e.Name, err)
 		}
-		timing, err := col.TimingJSON(e.name)
+		timing, err := col.TimingJSON(e.Name)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		if err := os.WriteFile(filepath.Join(outDir, e.name+".timing.json"), timing, 0o644); err != nil {
-			return fmt.Errorf("%s: writing timing report: %w", e.name, err)
+		if err := os.WriteFile(filepath.Join(outDir, e.Name+".timing.json"), timing, 0o644); err != nil {
+			return fmt.Errorf("%s: writing timing report: %w", e.Name, err)
 		}
 	}
 	if traceDir != "" {
-		if err := writeTrace(filepath.Join(traceDir, e.name+".trace.json"), opts.Events); err != nil {
-			return fmt.Errorf("%s: writing trace events: %w", e.name, err)
+		if err := writeTrace(filepath.Join(traceDir, e.Name+".trace.json"), opts.Events); err != nil {
+			return fmt.Errorf("%s: writing trace events: %w", e.Name, err)
 		}
 	}
 	return runErr
@@ -550,15 +309,16 @@ func printFailures(name string, col *metrics.Collector) {
 	}
 }
 
-// calibrate prints a compact per-benchmark summary used while tuning
+// calibrate renders a compact per-benchmark summary used while tuning
 // the workload models: baseline MPMI, contiguity, and eliminations.
-func calibrate(opts experiments.Options) error {
-	fmt.Println("bench        contig  L1MPMI  L2MPMI  |  SA-L1  SA-L2  FA-L1  FA-L2  All-L1 All-L2")
+func calibrate(opts experiments.Options) (string, error) {
+	var b strings.Builder
+	b.WriteString("bench        contig  L1MPMI  L2MPMI  |  SA-L1  SA-L2  FA-L1  FA-L2  All-L1 All-L2\n")
 	for _, name := range workload.Names() {
 		spec, _ := workload.ByName(name)
 		res, err := experiments.RunBenchmark(spec, experiments.SetupTHSOnNormal, opts, experiments.StandardVariants())
 		if err != nil {
-			return err
+			return b.String(), err
 		}
 		base, _ := res.Variant("baseline")
 		l1, l2 := base.MPMI()
@@ -573,8 +333,8 @@ func calibrate(opts experiments.Options) error {
 		sa1, sa2 := elim("colt-sa")
 		fa1, fa2 := elim("colt-fa")
 		al1, al2 := elim("colt-all")
-		fmt.Printf("%-12s %6.1f %7.0f %7.0f  | %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f\n",
+		fmt.Fprintf(&b, "%-12s %6.1f %7.0f %7.0f  | %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f\n",
 			name, res.Contig.AverageContiguity(), l1, l2, sa1, sa2, fa1, fa2, al1, al2)
 	}
-	return nil
+	return b.String(), nil
 }

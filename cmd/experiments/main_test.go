@@ -11,6 +11,8 @@ import (
 	"colt/internal/experiments"
 	"colt/internal/fault"
 	"colt/internal/metrics"
+	"colt/internal/telemetry"
+	"colt/internal/workload"
 )
 
 // TestUnknownExperimentError guards the CLI contract: an unknown -exp
@@ -32,20 +34,21 @@ func TestUnknownExperimentError(t *testing.T) {
 	}
 }
 
-// TestRegistryNamesUnique catches copy-paste duplicates when new
-// experiments are added.
+// TestRegistryNamesUnique: every name the CLI accepts — the shared
+// registry plus calibrate — is distinct, runnable as text, and none
+// shadows the built-in pseudo-experiments.
 func TestRegistryNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range registry() {
-		if e.name == "all" || e.name == "list" {
-			t.Errorf("registry entry %q shadows a built-in pseudo-experiment", e.name)
+	for _, e := range append(experiments.SharedRegistry(), calibrateEntry) {
+		if e.Name == "all" || e.Name == "list" {
+			t.Errorf("registry entry %q shadows a built-in pseudo-experiment", e.Name)
 		}
-		if seen[e.name] {
-			t.Errorf("duplicate registry entry %q", e.name)
+		if seen[e.Name] {
+			t.Errorf("duplicate registry entry %q", e.Name)
 		}
-		seen[e.name] = true
-		if e.run == nil {
-			t.Errorf("registry entry %q has no run function", e.name)
+		seen[e.Name] = true
+		if e.Text == nil {
+			t.Errorf("registry entry %q has no Text function", e.Name)
 		}
 	}
 }
@@ -58,6 +61,28 @@ func TestKnownExperimentRuns(t *testing.T) {
 	opts.Warmup = 500
 	if err := run("timeline", opts, "", ""); err != nil {
 		t.Fatalf("run(timeline): %v", err)
+	}
+}
+
+// TestCalibrateRendersEveryBenchmark: the CLI-only diagnostic prints a
+// header and one row per benchmark, in workload order.
+func TestCalibrateRendersEveryBenchmark(t *testing.T) {
+	opts := experiments.QuickOptions()
+	opts.Refs = 2_000
+	opts.Warmup = 200
+	text, err := calibrateEntry.Text(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	names := workload.Names()
+	if len(lines) != 1+len(names) {
+		t.Fatalf("calibrate printed %d lines, want a header and %d rows:\n%s", len(lines), len(names), text)
+	}
+	for i, name := range names {
+		if fields := strings.Fields(lines[1+i]); len(fields) == 0 || fields[0] != name {
+			t.Errorf("row %d = %q, want benchmark %s", i, lines[1+i], name)
+		}
 	}
 }
 
@@ -120,6 +145,61 @@ func TestFaultedRunRendersPartialReport(t *testing.T) {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("faulted report lacks %s", want)
 		}
+	}
+	// The pool's observer times a job's whole retry loop, so the
+	// timing sidecar holds one Sched entry per job however many
+	// attempts it took.
+	var report metrics.Report
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	retried := false
+	for _, f := range report.Failures {
+		retried = retried || f.Attempts > 1
+	}
+	if !retried {
+		t.Fatalf("no failed job was retried: %+v", report.Failures)
+	}
+	data, err = os.ReadFile(filepath.Join(dir, "fig18.timing.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var timing metrics.TimingReport
+	if err := json.Unmarshal(data, &timing); err != nil {
+		t.Fatal(err)
+	}
+	if jobs := len(workload.All()); len(timing.Sched) != jobs || timing.SchedJobs != jobs {
+		t.Errorf("timing sidecar has %d Sched entries (sched_jobs %d), want one per job: %d",
+			len(timing.Sched), timing.SchedJobs, jobs)
+	}
+}
+
+// TestAllSimulatesStandardEvaluationOnce: fig18 and fig21 report one
+// standard evaluation, and a CLI -exp all run simulates it once. The
+// run schedules exactly the jobs of every independent registry entry
+// but fig21.
+func TestAllSimulatesStandardEvaluationOnce(t *testing.T) {
+	opts := experiments.QuickOptions()
+	opts.Refs = 2_000
+	opts.Warmup = 200
+	jobs := func(fn func(experiments.Options) error) int {
+		o := opts
+		o.Progress = telemetry.NewReporter(nil)
+		if err := fn(o); err != nil {
+			t.Fatal(err)
+		}
+		_, total, _ := o.Progress.Counts()
+		return total
+	}
+	want := 0
+	for _, e := range experiments.Registry() {
+		if e.Name != "fig21" {
+			want += jobs(e.Run)
+		}
+	}
+	got := jobs(func(o experiments.Options) error { return run("all", o, "", "") })
+	if got != want {
+		t.Fatalf("-exp all scheduled %d jobs, want %d (the standard evaluation once)", got, want)
 	}
 }
 

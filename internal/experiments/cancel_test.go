@@ -133,7 +133,7 @@ func TestRegistryResolvesEveryName(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range reg {
-		if e.Name == "" || e.Desc == "" || e.Run == nil {
+		if e.Name == "" || e.Desc == "" || e.Run == nil || e.Text == nil {
 			t.Fatalf("malformed entry %+v", e)
 		}
 		if seen[e.Name] {

@@ -6,6 +6,7 @@ import (
 
 	"colt/internal/contig"
 	"colt/internal/core"
+	"colt/internal/metrics"
 	"colt/internal/perf"
 	"colt/internal/stats"
 	"colt/internal/workload"
@@ -255,6 +256,34 @@ func RunEvaluation(opts Options, variants []Variant) (*Evaluation, error) {
 // 21 derive from the same run).
 func RunStandardEvaluation(opts Options) (*Evaluation, error) {
 	return RunEvaluation(opts, StandardVariants())
+}
+
+// evalCache memoizes the standard evaluation for SharedRegistry, so one
+// run of both fig18 and fig21 simulates it once. The evaluation's
+// records go to the cache's own collector, which is merged into each
+// caller's, so both figures' reports carry them.
+type evalCache struct {
+	ev  *Evaluation
+	rec *metrics.Collector
+}
+
+func (c *evalCache) get(opts Options) (*Evaluation, error) {
+	if c.ev == nil {
+		inner := opts
+		if opts.Metrics != nil {
+			c.rec = metrics.NewCollector()
+			inner.Metrics = c.rec
+		}
+		ev, err := RunStandardEvaluation(inner)
+		if err != nil {
+			return nil, err
+		}
+		c.ev = ev
+	}
+	if opts.Metrics != nil {
+		opts.Metrics.Merge(c.rec)
+	}
+	return c.ev, nil
 }
 
 // EliminationRow reports, per benchmark, the percentage of baseline L1

@@ -1065,7 +1065,7 @@ func mapJobs[S, T any](opts Options, items []S, meta func(S) jobMeta, run func(i
 	opts.Progress.AddJobs(len(items))
 	results, errs := sched.MapPartial(pool, len(items), func(i int) (T, error) {
 		var out T
-		err := sched.Retry(1+opts.Retries, 0, fault.IsInjected, func(attempt int) error {
+		err := sched.Retry(1+opts.Retries, fault.IsInjected, func(attempt int) error {
 			attempts[i] = attempt + 1
 			o := opts
 			o.attempt = attempt

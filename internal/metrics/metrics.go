@@ -539,8 +539,11 @@ type TimingReport struct {
 	Schema     string      `json:"schema"`
 	Experiment string      `json:"experiment"`
 	Records    []JobTiming `json:"records"`
-	// Sched lists every scheduler dispatch with its label — retries
-	// appear once per attempt, so Sched can be longer than Records.
+	// Sched lists one entry per scheduler job, failed jobs included,
+	// with its label. The pool's observer times a job's whole retry
+	// loop, so a job has one entry however many attempts it took.
+	// Records has one entry per emitted record instead, so the two
+	// lengths can differ either way.
 	Sched     []SchedJobTiming `json:"sched,omitempty"`
 	SchedJobs int              `json:"sched_jobs"`
 	SchedMS   float64          `json:"sched_total_ms"`
@@ -566,9 +569,9 @@ type PhaseTiming struct {
 	WallMS   float64 `json:"wall_ms"`
 }
 
-// SchedJobTiming is one scheduler dispatch: the job index within its
+// SchedJobTiming is one scheduler job: the job index within its
 // fan-out, the job's label (empty when the pool had no labeler), and
-// its wall-clock.
+// its wall-clock across every attempt.
 type SchedJobTiming struct {
 	Job    int     `json:"job"`
 	Label  string  `json:"label,omitempty"`

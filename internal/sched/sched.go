@@ -75,7 +75,7 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 // zero value is not useful; use New.
 //
 // Configuration (SetObserver, SetLabeler, SetJobTimeout, SetContext)
-// must complete before the first Map/MapPartial call: once a map has
+// must complete before the first MapPartial call: once a map has
 // started the pool's configuration is frozen, and any further setter
 // call panics. The guard exists because servers construct pools
 // concurrently with request handling, where a silently-ignored or
@@ -104,7 +104,7 @@ func New(workers int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // configure runs a setter under the pool's configuration guard,
-// panicking if any Map/MapPartial has already started. The panic (not
+// panicking if any MapPartial has already started. The panic (not
 // a silent drop) is deliberate: a late registration is a programming
 // error, and under concurrent construction a dropped observer would
 // surface as mysteriously missing timings instead of a stack trace.
@@ -112,7 +112,7 @@ func (p *Pool) configure(what string, set func()) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.started {
-		panic("sched: " + what + " called after Map started; configure the pool before scheduling jobs")
+		panic("sched: " + what + " called after MapPartial started; configure the pool before scheduling jobs")
 	}
 	set()
 }
@@ -219,40 +219,15 @@ func (p *Pool) runJob(i int, fn func(i int) error) error {
 	}
 }
 
-// Map runs fn(i) for every i in [0, n) on the pool's workers and
-// returns the results ordered by input index — never by completion
-// order. The first error (by job index) cancels dispatch of jobs that
-// have not yet started and is returned; results from jobs that already
-// completed are discarded. A panic in fn is contained to its job and
-// reported as a *PanicError — it never tears down the pool.
-func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
-	results, errs := mapAll(p, n, fn, true)
-	if results == nil && errs == nil {
-		return nil, nil
-	}
-	// First error by job index, not completion order, so the reported
-	// failure is deterministic too.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// MapPartial runs fn(i) for EVERY i in [0, n) — an error or panic in
-// one job never cancels the others — and returns both slices indexed
-// by job: errs[i] is nil exactly when results[i] is valid. This is
-// the graceful-degradation entry point: callers render the surviving
-// jobs and report the failed ones.
+// MapPartial runs fn(i) for EVERY i in [0, n) on the pool's workers —
+// an error or panic in one job never cancels the others — and returns
+// both slices indexed by job input order, never by completion order:
+// errs[i] is nil exactly when results[i] is valid. A panic in fn is
+// contained to its job as a *PanicError; once the pool's context is
+// canceled, undispatched jobs fail with a *CanceledError. This is the
+// graceful-degradation entry point: callers render the surviving jobs
+// and report the failed ones.
 func MapPartial[T any](p *Pool, n int, fn func(i int) (T, error)) (results []T, errs []error) {
-	return mapAll(p, n, fn, false)
-}
-
-// mapAll is the shared engine behind Map and MapPartial. When
-// cancelOnError is set, a failed job stops dispatch of jobs that have
-// not yet started (Map's contract); otherwise every job runs.
-func mapAll[T any](p *Pool, n int, fn func(i int) (T, error), cancelOnError bool) ([]T, []error) {
 	// Freeze the pool's configuration: setters panic from here on, so
 	// the unguarded field reads below can never race with a writer.
 	p.mu.Lock()
@@ -261,40 +236,34 @@ func mapAll[T any](p *Pool, n int, fn func(i int) (T, error), cancelOnError bool
 	if n <= 0 {
 		return nil, nil
 	}
-	results := make([]T, n)
-	errs := make([]error, n)
+	results = make([]T, n)
+	errs = make([]error, n)
+	job := func(i int) {
+		if cause := p.canceled(); cause != nil {
+			errs[i] = &CanceledError{Job: i, Cause: cause}
+			return
+		}
+		errs[i] = p.runJob(i, func(i int) error {
+			var err error
+			results[i], err = fn(i)
+			return err
+		})
+	}
 	workers := p.workers
 	if workers > n {
 		workers = n
 	}
 	if workers == 1 {
-		// Degenerate pool: run inline so -parallel 1 has the exact
-		// serial semantics of the pre-scheduler code (stopping at the
-		// first error when cancellation is on).
+		// Degenerate pool: run inline, in order, so -parallel 1 has the
+		// exact serial semantics of the pre-scheduler code.
 		for i := 0; i < n; i++ {
-			if cause := p.canceled(); cause != nil {
-				errs[i] = &CanceledError{Job: i, Cause: cause}
-				if cancelOnError {
-					break
-				}
-				continue
-			}
-			errs[i] = p.runJob(i, func(i int) error {
-				var err error
-				results[i], err = fn(i)
-				return err
-			})
-			if errs[i] != nil && cancelOnError {
-				break
-			}
+			job(i)
 		}
 		return results, errs
 	}
-
 	var (
-		next   atomic.Int64 // next job index to claim
-		failed atomic.Bool  // set once any job errors (cancel mode)
-		wg     sync.WaitGroup
+		next atomic.Int64 // next job index to claim
+		wg   sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -302,25 +271,10 @@ func mapAll[T any](p *Pool, n int, fn func(i int) (T, error), cancelOnError bool
 			defer wg.Done()
 			for {
 				i := int(next.Add(1) - 1)
-				if i >= n || (cancelOnError && failed.Load()) {
+				if i >= n {
 					return
 				}
-				if cause := p.canceled(); cause != nil {
-					// Mark this and keep claiming: every undispatched
-					// job gets a CanceledError record rather than a
-					// silent zero result.
-					errs[i] = &CanceledError{Job: i, Cause: cause}
-					failed.Store(true)
-					continue
-				}
-				if err := p.runJob(i, func(i int) error {
-					var err error
-					results[i], err = fn(i)
-					return err
-				}); err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
+				job(i)
 			}
 		}()
 	}
@@ -331,24 +285,15 @@ func mapAll[T any](p *Pool, n int, fn func(i int) (T, error), cancelOnError bool
 // Retry runs fn up to attempts times (attempt is 0-based), returning
 // nil on the first success. Only errors for which transient returns
 // true are retried; other errors — including *TimeoutError, which is
-// wall-clock-dependent — return immediately. Between attempts it
-// sleeps backoff << attempt (bounded), which spaces wall-clock without
-// affecting results: fn's outcome must be a deterministic function of
-// the attempt number, so the retry trajectory is identical at every
-// parallel width.
-func Retry(attempts int, backoff time.Duration, transient func(error) bool, fn func(attempt int) error) error {
+// wall-clock-dependent — return immediately. fn's outcome must be a
+// deterministic function of the attempt number, so the retry
+// trajectory is identical at every parallel width.
+func Retry(attempts int, transient func(error) bool, fn func(attempt int) error) error {
 	if attempts < 1 {
 		attempts = 1
 	}
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 && backoff > 0 {
-			d := backoff << uint(attempt-1)
-			if max := 100 * backoff; d > max {
-				d = max
-			}
-			time.Sleep(d)
-		}
 		if err = fn(attempt); err == nil {
 			return nil
 		}

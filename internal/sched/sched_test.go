@@ -12,18 +12,27 @@ import (
 	"time"
 )
 
+// mustMap runs MapPartial and fails the test on any job error.
+func mustMap[T any](t *testing.T, p *Pool, n int, fn func(i int) (T, error)) []T {
+	t.Helper()
+	got, errs := MapPartial(p, n, fn)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	return got
+}
+
 func TestMapOrdersResultsByInput(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 64} {
 		p := New(workers)
-		got, err := Map(p, 100, func(i int) (int, error) {
+		got := mustMap(t, p, 100, func(i int) (int, error) {
 			// Skew completion order: later jobs finish first under
 			// concurrency by burning less work.
 			busy(100 - i)
 			return i * i, nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if len(got) != 100 {
 			t.Fatalf("workers=%d: got %d results", workers, len(got))
 		}
@@ -37,14 +46,8 @@ func TestMapOrdersResultsByInput(t *testing.T) {
 
 func TestMapParallelMatchesSerial(t *testing.T) {
 	fn := func(i int) (string, error) { return fmt.Sprintf("job-%d", i*7%13), nil }
-	serial, err := Map(New(1), 50, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Map(New(8), 50, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := mustMap(t, New(1), 50, fn)
+	parallel := mustMap(t, New(8), 50, fn)
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatalf("result[%d]: serial %q vs parallel %q", i, serial[i], parallel[i])
@@ -52,59 +55,13 @@ func TestMapParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMapErrorCancelsAndIsDeterministic(t *testing.T) {
-	boom := errors.New("job 3 failed")
-	var started atomic.Int64
-	_, err := Map(New(4), 1000, func(i int) (int, error) {
-		started.Add(1)
-		if i == 3 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	if n := started.Load(); n >= 1000 {
-		t.Fatalf("error did not cancel dispatch: %d jobs started", n)
-	}
-	// The reported error must be the lowest-index failure, not a race
-	// winner.
-	errA := errors.New("a")
-	errB := errors.New("b")
-	for trial := 0; trial < 20; trial++ {
-		_, err := Map(New(8), 16, func(i int) (int, error) {
-			switch i {
-			case 2:
-				busy(500) // slow failure at the lower index
-				return 0, errA
-			case 9:
-				return 0, errB // fast failure at the higher index
-			}
-			return i, nil
-		})
-		if err == nil {
-			t.Fatal("expected an error")
-		}
-		if errors.Is(err, errB) && !errors.Is(err, errA) {
-			// Job 9 may run before job 2 is even dispatched once the
-			// failed flag stops the pool; only flag nondeterminism when
-			// both ran and the higher index won.
-			continue
-		}
-		if !errors.Is(err, errA) {
-			t.Fatalf("trial %d: err = %v", trial, err)
-		}
-	}
-}
-
 func TestMapEmptyAndSingle(t *testing.T) {
-	if got, err := Map[int](New(4), 0, nil); err != nil || got != nil {
-		t.Fatalf("empty map: %v, %v", got, err)
+	if got, errs := MapPartial[int](New(4), 0, nil); errs != nil || got != nil {
+		t.Fatalf("empty map: %v, %v", got, errs)
 	}
-	got, err := Map(New(4), 1, func(i int) (int, error) { return 42, nil })
-	if err != nil || len(got) != 1 || got[0] != 42 {
-		t.Fatalf("single map: %v, %v", got, err)
+	got, errs := MapPartial(New(4), 1, func(i int) (int, error) { return 42, nil })
+	if len(errs) != 1 || errs[0] != nil || len(got) != 1 || got[0] != 42 {
+		t.Fatalf("single map: %v, %v", got, errs)
 	}
 }
 
@@ -113,12 +70,13 @@ func TestMapEmptyAndSingle(t *testing.T) {
 // after the wait, killing every job in the run).
 func TestMapPanicContained(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, err := Map(New(workers), 8, func(i int) (int, error) {
+		_, errs := MapPartial(New(workers), 8, func(i int) (int, error) {
 			if i == 5 {
 				panic("boom")
 			}
 			return i, nil
 		})
+		err := errs[5]
 		if err == nil {
 			t.Fatalf("workers=%d: panic did not surface as an error", workers)
 		}
@@ -142,18 +100,15 @@ func TestMapPanicContained(t *testing.T) {
 // panicked — the process and its sibling jobs are unaffected.
 func TestPoolSurvivesPanic(t *testing.T) {
 	p := New(4)
-	if _, err := Map(p, 4, func(i int) (int, error) {
+	if _, errs := MapPartial(p, 4, func(i int) (int, error) {
 		if i == 2 {
 			panic(fmt.Sprintf("job %d exploding", i))
 		}
 		return i, nil
-	}); err == nil {
+	}); errs[2] == nil {
 		t.Fatal("expected the panic error")
 	}
-	got, err := Map(p, 4, func(i int) (int, error) { return i * 2, nil })
-	if err != nil {
-		t.Fatalf("pool unusable after a contained panic: %v", err)
-	}
+	got := mustMap(t, p, 4, func(i int) (int, error) { return i * 2, nil })
 	for i, v := range got {
 		if v != i*2 {
 			t.Fatalf("result[%d] = %d after panic recovery", i, v)
@@ -226,7 +181,7 @@ func TestRetry(t *testing.T) {
 	transient := func(err error) bool { return strings.Contains(err.Error(), "transient") }
 	t.Run("retries transient until success", func(t *testing.T) {
 		var calls []int
-		err := Retry(4, 0, transient, func(attempt int) error {
+		err := Retry(4, transient, func(attempt int) error {
 			calls = append(calls, attempt)
 			if attempt < 2 {
 				return errors.New("transient glitch")
@@ -242,7 +197,7 @@ func TestRetry(t *testing.T) {
 	})
 	t.Run("exhausts attempts and returns last error", func(t *testing.T) {
 		var calls int
-		err := Retry(3, 0, transient, func(attempt int) error {
+		err := Retry(3, transient, func(attempt int) error {
 			calls++
 			return fmt.Errorf("transient %d", attempt)
 		})
@@ -255,7 +210,7 @@ func TestRetry(t *testing.T) {
 	})
 	t.Run("permanent error not retried", func(t *testing.T) {
 		var calls int
-		err := Retry(5, 0, transient, func(int) error {
+		err := Retry(5, transient, func(int) error {
 			calls++
 			return errors.New("permanent")
 		})
@@ -268,7 +223,7 @@ func TestRetry(t *testing.T) {
 	})
 	t.Run("timeouts never retried", func(t *testing.T) {
 		var calls int
-		err := Retry(5, 0, func(error) bool { return true }, func(int) error {
+		err := Retry(5, func(error) bool { return true }, func(int) error {
 			calls++
 			return fmt.Errorf("wrapped: %w", &TimeoutError{Job: 0, Timeout: time.Second})
 		})
@@ -321,9 +276,7 @@ func TestObserverSeesEveryJob(t *testing.T) {
 			}
 			seen[job].Add(1)
 		})
-		if _, err := Map(p, 10, func(i int) (uint64, error) { return busy(i), nil }); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		mustMap(t, p, 10, func(i int) (uint64, error) { return busy(i), nil })
 		if calls.Load() != 10 {
 			t.Errorf("workers=%d: observer fired %d times, want 10", workers, calls.Load())
 		}
@@ -337,21 +290,20 @@ func TestObserverSeesEveryJob(t *testing.T) {
 		}
 	}
 
-	// Failed jobs are observed too (serial path stops at the error, so
-	// the observed count equals the jobs actually dispatched).
+	// Failed jobs are observed too, and a failure stops nothing.
 	var calls atomic.Int64
 	p := New(1).SetObserver(func(int, string, time.Duration) { calls.Add(1) })
-	_, err := Map(p, 5, func(i int) (int, error) {
+	_, errs := MapPartial(p, 5, func(i int) (int, error) {
 		if i == 2 {
 			return 0, errors.New("boom")
 		}
 		return i, nil
 	})
-	if err == nil {
+	if errs[2] == nil {
 		t.Fatal("error not propagated through timed path")
 	}
-	if calls.Load() != 3 {
-		t.Errorf("observer fired %d times before the serial error stop, want 3", calls.Load())
+	if calls.Load() != 5 {
+		t.Errorf("observer fired %d times, want 5 (every job, the failed one too)", calls.Load())
 	}
 }
 
@@ -370,9 +322,7 @@ func TestObserverReceivesLabels(t *testing.T) {
 				got[job] = label
 				mu.Unlock()
 			})
-		if _, err := Map(p, len(names), func(i int) (int, error) { return i, nil }); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		mustMap(t, p, len(names), func(i int) (int, error) { return i, nil })
 		for i, want := range names {
 			if got[i] != want {
 				t.Errorf("workers=%d: job %d labeled %q, want %q", workers, i, got[i], want)
@@ -386,9 +336,7 @@ func TestObserverReceivesLabels(t *testing.T) {
 	}
 	var sawLabel string
 	p.SetObserver(func(_ int, label string, _ time.Duration) { sawLabel = label })
-	if _, err := Map(p, 1, func(i int) (int, error) { return i, nil }); err != nil {
-		t.Fatal(err)
-	}
+	mustMap(t, p, 1, func(i int) (int, error) { return i, nil })
 	if sawLabel != "" {
 		t.Errorf("observer got label %q from labeler-less pool, want empty", sawLabel)
 	}
@@ -408,9 +356,7 @@ func TestSetterPanicsAfterMapStarted(t *testing.T) {
 	}
 	for name, set := range setters {
 		p := New(2)
-		if _, err := Map(p, 4, func(i int) (int, error) { return i, nil }); err != nil {
-			t.Fatalf("%s: warmup map: %v", name, err)
-		}
+		mustMap(t, p, 4, func(i int) (int, error) { return i, nil })
 		func() {
 			defer func() {
 				r := recover()
@@ -419,7 +365,7 @@ func TestSetterPanicsAfterMapStarted(t *testing.T) {
 					return
 				}
 				msg := fmt.Sprint(r)
-				if !strings.Contains(msg, name) || !strings.Contains(msg, "after Map started") {
+				if !strings.Contains(msg, name) || !strings.Contains(msg, "after MapPartial started") {
 					t.Errorf("%s panic message %q does not name the setter and the rule", name, msg)
 				}
 			}()
@@ -437,7 +383,7 @@ func TestSetterPanicsWhileMapRunning(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = Map(p, 1, func(i int) (int, error) {
+		_, _ = MapPartial(p, 1, func(i int) (int, error) {
 			close(inJob)
 			<-release
 			return i, nil
@@ -507,11 +453,13 @@ func TestContextCancelSkipsUndispatchedJobs(t *testing.T) {
 func TestContextCancelBeforeMap(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Map(New(4).SetContext(ctx), 8, func(i int) (int, error) {
+	_, errs := MapPartial(New(4).SetContext(ctx), 8, func(i int) (int, error) {
 		t.Error("job ran under a pre-canceled context")
 		return i, nil
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Map error = %v, want context.Canceled", err)
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("errs[%d] = %v, want context.Canceled", i, err)
+		}
 	}
 }

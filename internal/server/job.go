@@ -182,12 +182,25 @@ func (j *Job) markLocked(phase string, t time.Time) {
 func (j *Job) markServed(t time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if !j.hasMarkLocked("served") {
+		j.markLocked("served", t)
+	}
+}
+
+// hasMark reports whether the job's timeline holds a phase's mark.
+func (j *Job) hasMark(phase string) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.hasMarkLocked(phase)
+}
+
+func (j *Job) hasMarkLocked(phase string) bool {
 	for _, m := range j.timeline {
-		if m.Phase == "served" {
-			return
+		if m.Phase == phase {
+			return true
 		}
 	}
-	j.markLocked("served", t)
+	return false
 }
 
 // terminalMarkLocked returns the terminal transition record, if the

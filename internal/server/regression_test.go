@@ -257,6 +257,48 @@ func TestResubmitPendingCountsDrops(t *testing.T) {
 	})
 }
 
+// TestReplayConvergesAfterHashChange: a live accept journaled under a
+// hash its spec no longer canonicalizes to (the canonical form changed
+// between versions) is replayed under the current hash, and the stale
+// record is committed once that resubmission is durable. Every later
+// boot then has nothing to replay and simulates nothing.
+func TestReplayConvergesAfterHashChange(t *testing.T) {
+	dir := t.TempDir()
+	jl, _, err := openJournal(faultfs.OS(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Accept(strings.Repeat("e", 64), Spec{Experiment: "stub", Seed: 1}, ""); err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+	var sims atomic.Int64
+	reg := stubRegistry(nil)
+	stub := reg[0].Run
+	reg[0].Run = func(o experiments.Options) error { sims.Add(1); return stub(o) }
+	for boot := 1; boot <= 3; boot++ {
+		s, err := NewServer(Config{CacheDir: dir, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		wantReplayed := uint64(0)
+		if boot == 1 {
+			wantReplayed = 1
+			waitStats(t, s, "the replayed job to finish", func(st Stats) bool { return st.Jobs[JobDone] == 1 })
+		}
+		if st := s.Stats(); st.Journal.Replayed != wantReplayed || st.Journal.Live != 0 {
+			t.Fatalf("boot %d: replayed %d, live %d; want %d and 0", boot, st.Journal.Replayed, st.Journal.Live, wantReplayed)
+		}
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := sims.Load(); got != 1 {
+			t.Fatalf("boot %d: %d simulations in all, want 1", boot, got)
+		}
+	}
+}
+
 // writeLiveAccepts journals an accept record for each spec, as a prior
 // run would have left them: the content hash of a spec the stub
 // registry knows, a fixed stand-in for one it does not.

@@ -318,18 +318,23 @@ func NewServer(cfg Config) (*Server, error) {
 // any reason but a full queue (an experiment the registry no longer
 // knows, a spec past MaxRefs) is committed once counted, so it is
 // dropped once, not on every boot; a queue-full drop stays live and
-// is retried by the next boot.
+// is retried by the next boot. A spec that now canonicalizes under
+// another hash (the canonical form changed between versions) is
+// tracked under that hash from then on, so its record is committed
+// once the resubmission is durable on its own: a cache hit, or a job
+// whose accept record landed.
 func (s *Server) replayJournal(replay []journalLive) error {
 	if s.journal == nil || len(replay) == 0 {
 		return nil
 	}
 	dropped := 0
 	for _, rec := range replay {
+		var res SubmitResult
 		var err error
 		for attempt := 0; attempt < 100; attempt++ {
 			// Resubmit under the original trace ID, so the replayed run
 			// greps as a continuation of the crashed request.
-			if _, err = s.SubmitTraced(rec.Spec, rec.Trace); !errors.Is(err, ErrQueueFull) {
+			if res, err = s.SubmitTraced(rec.Spec, rec.Trace); !errors.Is(err, ErrQueueFull) {
 				break
 			}
 			time.Sleep(10 * time.Millisecond)
@@ -343,6 +348,9 @@ func (s *Server) replayJournal(replay []journalLive) error {
 			continue
 		}
 		s.journalReplayed.Add(1)
+		if res.Job.Can.Hash != rec.Hash && (res.Cached || res.Job.hasMark("journaled")) {
+			s.journalCommit(rec.Hash)
+		}
 	}
 	if dropped > 0 {
 		s.pendingDropped.Add(uint64(dropped))
