@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt tidy vet build test race golden golden-update bench-parallel bench-smoke chaos chaos-serve fuzz-buddy fuzz-serve cover serve-smoke cluster-smoke
+.PHONY: check fmt tidy vet build test race golden golden-update bench-parallel bench-smoke chaos chaos-serve fuzz-buddy fuzz-serve cover serve-smoke cluster-smoke examples
 
 check: fmt tidy vet build test race golden
 
@@ -117,13 +117,21 @@ serve-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
+# Run the five examples; any non-zero exit fails. Three of them
+# (quickstart, bigdata, fragmentation) print the colt package's
+# numbers, so this is what keeps them running (~4 s).
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
+
 # Statement-coverage gate: each package listed in .coverage-floor (the
 # observability stack, the OS memory model and its vm layer, the
 # cluster layer, the fault core, the page table, the data caches, the
 # load generator with its coltload command, the TLB structures
 # (internal/core), the page walker (internal/mmu), the serving
-# layer's spec boundary (internal/server), the experiments CLI and
-# the scheduler (internal/sched)) must meet its checked-in minimum.
+# layer's spec boundary (internal/server), the experiments CLI, the
+# scheduler (internal/sched), and the front ends over the engine: the
+# colt package (.), coltsim, contig and replay) must meet its
+# checked-in minimum.
 cover:
 	@set -e; \
 	while read -r pkg floor; do \

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"colt"
@@ -67,20 +68,10 @@ func validate(bench string, kernel colt.KernelConfig, refs int) error {
 	if refs < 0 {
 		return fmt.Errorf("-refs must be >= 0, got %d", refs)
 	}
-	if !knownBench(bench) {
+	if !slices.Contains(colt.Benchmarks(), bench) {
 		return fmt.Errorf("unknown benchmark %q (known: %s)", bench, strings.Join(colt.Benchmarks(), ", "))
 	}
 	return nil
-}
-
-// knownBench reports whether name is one of the paper's benchmarks.
-func knownBench(name string) bool {
-	for _, b := range colt.Benchmarks() {
-		if b == name {
-			return true
-		}
-	}
-	return false
 }
 
 // run simulates the benchmark and prints the per-policy table.

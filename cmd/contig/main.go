@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"colt"
@@ -45,7 +46,7 @@ func run(bench string, kernel colt.KernelConfig, opts colt.Options) error {
 	}
 	benches := colt.Benchmarks()
 	if bench != "" {
-		if !knownBench(bench) {
+		if !slices.Contains(colt.Benchmarks(), bench) {
 			return fmt.Errorf("unknown benchmark %q (known: %s)", bench, strings.Join(colt.Benchmarks(), ", "))
 		}
 		benches = []string{bench}
@@ -62,14 +63,4 @@ func run(bench string, kernel colt.KernelConfig, opts colt.Options) error {
 			rep.CDF[1], rep.CDF[4], rep.CDF[16], rep.CDF[64], rep.CDF[256], rep.CDF[1024])
 	}
 	return nil
-}
-
-// knownBench reports whether name is one of the paper's benchmarks.
-func knownBench(name string) bool {
-	for _, b := range colt.Benchmarks() {
-		if b == name {
-			return true
-		}
-	}
-	return false
 }

@@ -18,6 +18,7 @@ import (
 	"colt/internal/arch"
 	"colt/internal/cache"
 	"colt/internal/core"
+	"colt/internal/experiments"
 	"colt/internal/mmu"
 	"colt/internal/pagetable"
 	"colt/internal/trace"
@@ -50,31 +51,10 @@ func main() {
 	}
 }
 
-// policyNames lists the valid -policies values, in display order.
-func policyNames() []string {
-	return []string{"baseline", "colt-sa", "colt-fa", "colt-all", "seq-prefetch"}
-}
-
-func configFor(policy string) (core.Config, error) {
-	switch policy {
-	case "baseline":
-		return core.BaselineConfig(), nil
-	case "colt-sa":
-		return core.CoLTSAConfig(core.DefaultCoLTShift), nil
-	case "colt-fa":
-		return core.CoLTFAConfig(), nil
-	case "colt-all":
-		return core.CoLTAllConfig(), nil
-	case "seq-prefetch":
-		return core.SeqPrefetchConfig(), nil
-	}
-	return core.Config{}, fmt.Errorf("unknown policy %q (valid policies: %s)",
-		policy, strings.Join(policyNames(), ", "))
-}
-
-// parsePolicies validates a -policies flag value: entries are
-// comma-separated, whitespace around each is ignored, and empty or
-// duplicate entries are rejected along with unknown names.
+// parsePolicies validates a -policies flag value against the engine's
+// policy table: entries are comma-separated, whitespace around each is
+// ignored, and empty or duplicate entries are rejected along with
+// unknown names.
 func parsePolicies(s string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
@@ -82,9 +62,9 @@ func parsePolicies(s string) ([]string, error) {
 		p := strings.TrimSpace(raw)
 		if p == "" {
 			return nil, fmt.Errorf("empty policy in -policies %q (valid policies: %s)",
-				s, strings.Join(policyNames(), ", "))
+				s, strings.Join(experiments.PolicyNames(), ", "))
 		}
-		if _, err := configFor(p); err != nil {
+		if _, err := experiments.PolicyVariant(p); err != nil {
 			return nil, err
 		}
 		if seen[p] {
@@ -139,12 +119,12 @@ func run(path string, contig int, policies []string) error {
 		tr.Len(), tr.Instructions(), contig)
 	fmt.Printf("%-13s %10s %10s %12s %12s\n", "policy", "L1 miss%", "L2 miss%", "walks", "walk cycles")
 	for _, p := range policies {
-		cfg, err := configFor(strings.TrimSpace(p))
+		v, err := experiments.PolicyVariant(p)
 		if err != nil {
 			return err
 		}
 		walker := mmu.NewWalker(table, cache.DefaultHierarchy(), mmu.NewWalkCache(mmu.DefaultWalkCacheEntries))
-		h := core.NewHierarchy(cfg, walker)
+		h := core.NewHierarchy(v.Config, walker)
 		var replayErr error
 		tr.Replay(func(rec trace.Record) bool {
 			vpn := rec.VAddr.Page()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"colt/internal/arch"
+	"colt/internal/experiments"
 	"colt/internal/trace"
 )
 
@@ -27,7 +28,7 @@ func TestParsePolicies(t *testing.T) {
 		}
 	})
 	t.Run("every documented policy parses", func(t *testing.T) {
-		if _, err := parsePolicies(strings.Join(policyNames(), ",")); err != nil {
+		if _, err := parsePolicies(strings.Join(experiments.PolicyNames(), ",")); err != nil {
 			t.Fatalf("parsePolicies(all): %v", err)
 		}
 	})
@@ -40,7 +41,7 @@ func TestParsePolicies(t *testing.T) {
 		if !strings.Contains(msg, `"colt-xl"`) {
 			t.Errorf("error %q does not quote the bad policy", msg)
 		}
-		for _, want := range policyNames() {
+		for _, want := range experiments.PolicyNames() {
 			if !strings.Contains(msg, want) {
 				t.Errorf("error %q does not list valid policy %q", msg, want)
 			}
@@ -62,17 +63,6 @@ func TestParsePolicies(t *testing.T) {
 			t.Errorf("error %q does not mention the duplicate", err)
 		}
 	})
-}
-
-func TestConfigForCoversPolicyNames(t *testing.T) {
-	for _, name := range policyNames() {
-		if _, err := configFor(name); err != nil {
-			t.Errorf("configFor(%q): %v", name, err)
-		}
-	}
-	if _, err := configFor("baseline "); err == nil {
-		t.Error("configFor does not reject untrimmed input; parsePolicies must trim first")
-	}
 }
 
 // writeTrace writes a small valid trace file and returns its path.

@@ -12,22 +12,24 @@
 //
 // This package is the high-level entry point: pick a benchmark, a
 // kernel configuration, and TLB policies, and get miss-rate and
-// performance reports. Power users can reach the building blocks
-// directly under internal/ (core for the TLB designs, mm/vm for the OS
-// model, experiments for the paper's figure drivers).
+// performance reports. It is a thin caller of the experiment engine
+// (internal/experiments): its presets, kernel configurations and
+// policies are the engine's own, so under the paper's kernels its
+// numbers are the registry's rows — RunBenchmark under DefaultKernel
+// reads Figures 18 and 21, MeasureContiguity the contiguity CDFs
+// (Figures 7-15). Power users can reach the building blocks directly
+// under internal/ (core for the TLB designs, mm/vm for the OS model,
+// experiments for the paper's figure drivers).
 package colt
 
 import (
-	"fmt"
-
-	"colt/internal/core"
 	"colt/internal/experiments"
 	"colt/internal/mm"
-	"colt/internal/perf"
 	"colt/internal/workload"
 )
 
-// Policy names a TLB configuration.
+// Policy names a TLB configuration: an entry of the engine's policy
+// table (experiments.Policies).
 type Policy string
 
 // The four policies of the paper's evaluation, plus the sequential
@@ -63,11 +65,14 @@ func (k KernelConfig) setup() experiments.SystemSetup {
 	if k.LowCompaction {
 		mode = mm.CompactionLow
 	}
-	name := fmt.Sprintf("THP=%v compaction=%s memhog=%d", k.THP, mode, k.MemhogPct)
-	return experiments.SystemSetup{Name: name, THP: k.THP, Compaction: mode, MemhogPct: k.MemhogPct}
+	return experiments.KernelSetup(k.THP, mode, k.MemhogPct)
 }
 
-// Options sizes a simulation.
+// Options sizes a simulation. Its fields override one of the engine's
+// presets: the quick one (QuickOptions) when FootprintScale is below
+// half the paper's footprint, else the default one (DefaultOptions),
+// whose values are listed below. The preset also sets what Options
+// cannot: the cold-data scale and the background churn.
 type Options struct {
 	// MemoryFrames is physical memory in 4 KB frames (default 2^18 =
 	// 1 GB).
@@ -83,9 +88,15 @@ type Options struct {
 	Seed uint64
 }
 
-// DefaultOptions returns full-scale settings.
-func DefaultOptions() Options {
-	o := experiments.DefaultOptions()
+// DefaultOptions returns full-scale settings: the engine's
+// DefaultOptions.
+func DefaultOptions() Options { return preset(experiments.DefaultOptions()) }
+
+// QuickOptions returns small, fast settings for demos and tests: the
+// engine's QuickOptions.
+func QuickOptions() Options { return preset(experiments.QuickOptions()) }
+
+func preset(o experiments.Options) Options {
 	return Options{
 		MemoryFrames:   o.Frames,
 		FootprintScale: o.Scale,
@@ -95,20 +106,14 @@ func DefaultOptions() Options {
 	}
 }
 
-// QuickOptions returns small, fast settings for demos and tests.
-func QuickOptions() Options {
-	o := experiments.QuickOptions()
-	return Options{
-		MemoryFrames:   o.Frames,
-		FootprintScale: o.Scale,
-		References:     o.Refs,
-		Warmup:         o.Warmup,
-		Seed:           o.Seed,
-	}
-}
-
+// internal resolves o onto the engine's options, as Options describes,
+// so QuickOptions and DefaultOptions resolve to exactly the engine's
+// presets.
 func (o Options) internal() experiments.Options {
 	base := experiments.DefaultOptions()
+	if o.FootprintScale > 0 && o.FootprintScale < base.Scale/2 {
+		base = experiments.QuickOptions()
+	}
 	if o.MemoryFrames > 0 {
 		base.Frames = o.MemoryFrames
 	}
@@ -123,10 +128,6 @@ func (o Options) internal() experiments.Options {
 	}
 	if o.Seed != 0 {
 		base.Seed = o.Seed
-	}
-	// Scale the background fragmentation with the footprint.
-	if base.Scale < 0.5 {
-		base.ChurnOps = 150
 	}
 	return base
 }
@@ -174,26 +175,10 @@ func (r *Report) PolicyReport(p Policy) (PolicyReport, bool) {
 	return PolicyReport{}, false
 }
 
-func variantFor(p Policy) (experiments.Variant, error) {
-	switch p {
-	case Baseline:
-		return experiments.Variant{Name: string(p), Config: core.BaselineConfig()}, nil
-	case CoLTSA:
-		return experiments.Variant{Name: string(p), Config: core.CoLTSAConfig(core.DefaultCoLTShift)}, nil
-	case CoLTFA:
-		return experiments.Variant{Name: string(p), Config: core.CoLTFAConfig()}, nil
-	case CoLTAll:
-		return experiments.Variant{Name: string(p), Config: core.CoLTAllConfig()}, nil
-	case SeqPrefetch:
-		return experiments.Variant{Name: string(p), Config: core.SeqPrefetchConfig()}, nil
-	}
-	return experiments.Variant{}, fmt.Errorf("colt: unknown policy %q", p)
-}
-
 // RunBenchmark simulates one benchmark under the kernel configuration,
 // evaluating every requested policy over the identical reference
 // stream. If Baseline is among the policies, elimination and speedup
-// figures are computed against it.
+// figures are computed against it, as Figures 18 and 21 compute them.
 func RunBenchmark(bench string, kernel KernelConfig, opts Options, policies []Policy) (*Report, error) {
 	spec, err := workload.ByName(bench)
 	if err != nil {
@@ -202,52 +187,48 @@ func RunBenchmark(bench string, kernel KernelConfig, opts Options, policies []Po
 	if len(policies) == 0 {
 		policies = AllPolicies()
 	}
-	variants := make([]experiments.Variant, 0, len(policies))
-	for _, p := range policies {
-		v, err := variantFor(p)
-		if err != nil {
+	variants := make([]experiments.Variant, len(policies))
+	for i, p := range policies {
+		if variants[i], err = experiments.PolicyVariant(string(p)); err != nil {
 			return nil, err
 		}
-		variants = append(variants, v)
 	}
 	res, err := experiments.RunBenchmark(spec, kernel.setup(), opts.internal(), variants)
 	if err != nil {
 		return nil, err
 	}
-	report := &Report{
-		Bench:         bench,
-		Instructions:  res.Instructions,
-		AvgContiguity: res.Contig.AverageContiguity(),
+	// The figures' own arithmetic, over a one-benchmark evaluation: it
+	// yields one row when Baseline ran and none otherwise, and a
+	// missing row or entry reads as zero.
+	ev := experiments.Evaluation{Results: []*experiments.BenchResult{res}, Baseline: string(Baseline)}
+	var elim experiments.EliminationRow
+	var perf experiments.PerfRow
+	if rows := ev.Eliminations(); len(rows) > 0 {
+		elim = rows[0]
 	}
-	model := perf.Default()
-	base, hasBase := res.Variant(string(Baseline))
-	if hasBase {
-		report.PerfectSpeedupPct = model.PerfectImprovement(base.Run)
+	if rows := ev.Performance(); len(rows) > 0 {
+		perf = rows[0]
+	}
+	report := &Report{
+		Bench:             bench,
+		Instructions:      res.Instructions,
+		AvgContiguity:     res.Contig.AverageContiguity(),
+		PerfectSpeedupPct: perf.Perfect,
 	}
 	for _, p := range policies {
 		v, _ := res.Variant(string(p))
 		l1, l2 := v.MPMI()
-		pr := PolicyReport{
-			Policy:     p,
-			L1MPMI:     l1,
-			L2MPMI:     l2,
-			WalkCycles: v.Run.WalkCycles,
-		}
-		if hasBase && p != Baseline {
-			pr.L1Eliminated = pctEliminated(base.TLB.L1Misses, v.TLB.L1Misses)
-			pr.L2Eliminated = pctEliminated(base.TLB.L2Misses, v.TLB.L2Misses)
-			pr.SpeedupPct = model.Improvement(base.Run, v.Run)
-		}
-		report.Policies = append(report.Policies, pr)
+		report.Policies = append(report.Policies, PolicyReport{
+			Policy:       p,
+			L1MPMI:       l1,
+			L2MPMI:       l2,
+			L1Eliminated: elim.L1[string(p)],
+			L2Eliminated: elim.L2[string(p)],
+			SpeedupPct:   perf.Gains[string(p)],
+			WalkCycles:   v.Run.WalkCycles,
+		})
 	}
 	return report, nil
-}
-
-func pctEliminated(base, improved uint64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return 100 * (float64(base) - float64(improved)) / float64(base)
 }
 
 // ContiguityReport summarizes a contiguity characterization run

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
+	"strings"
 	"time"
 
 	"colt/internal/arch"
@@ -41,12 +42,29 @@ type SystemSetup struct {
 
 // The five configurations the paper focuses on.
 var (
-	SetupTHSOnNormal   = SystemSetup{Name: "THS on, normal compaction", THP: true, Compaction: mm.CompactionNormal}
-	SetupTHSOffNormal  = SystemSetup{Name: "THS off, normal compaction", THP: false, Compaction: mm.CompactionNormal}
-	SetupTHSOffLow     = SystemSetup{Name: "THS off, low compaction", THP: false, Compaction: mm.CompactionLow}
-	SetupTHSOnMemhog25 = SystemSetup{Name: "THS on, normal compaction, memhog(25)", THP: true, Compaction: mm.CompactionNormal, MemhogPct: 25}
-	SetupTHSOnMemhog50 = SystemSetup{Name: "THS on, normal compaction, memhog(50)", THP: true, Compaction: mm.CompactionNormal, MemhogPct: 50}
+	SetupTHSOnNormal   = KernelSetup(true, mm.CompactionNormal, 0)
+	SetupTHSOffNormal  = KernelSetup(false, mm.CompactionNormal, 0)
+	SetupTHSOffLow     = KernelSetup(false, mm.CompactionLow, 0)
+	SetupTHSOnMemhog25 = KernelSetup(true, mm.CompactionNormal, 25)
+	SetupTHSOnMemhog50 = KernelSetup(true, mm.CompactionNormal, 50)
 )
+
+// KernelSetup returns a kernel configuration under its one name, such
+// as "THS on, normal compaction" or, under memhog, "THS on, normal
+// compaction, memhog(25)". The name seeds the job's streams (seedFor),
+// so a configuration simulates the same stream whichever front end
+// asks for it. Only the memhog sweep names its setups otherwise.
+func KernelSetup(thp bool, compaction mm.CompactionMode, memhogPct int) SystemSetup {
+	ths := "off"
+	if thp {
+		ths = "on"
+	}
+	name := fmt.Sprintf("THS %s, %s compaction", ths, compaction)
+	if memhogPct > 0 {
+		name += fmt.Sprintf(", memhog(%d)", memhogPct)
+	}
+	return SystemSetup{Name: name, THP: thp, Compaction: compaction, MemhogPct: memhogPct}
+}
 
 // Setups returns the paper's five studied configurations.
 func Setups() []SystemSetup {
@@ -271,14 +289,42 @@ type Variant struct {
 	Config core.Config
 }
 
+// Policies is the table of named TLB policies: every name a front end
+// accepts (the colt package's Policy, replay's -policies), bound to its
+// configuration, in display order. Its first four entries are the
+// standard variants of Figures 18 and 21.
+var Policies = []Variant{
+	{Name: "baseline", Config: core.BaselineConfig()},
+	{Name: "colt-sa", Config: core.CoLTSAConfig(core.DefaultCoLTShift)},
+	{Name: "colt-fa", Config: core.CoLTFAConfig()},
+	{Name: "colt-all", Config: core.CoLTAllConfig()},
+	{Name: "seq-prefetch", Config: core.SeqPrefetchConfig()},
+}
+
+// PolicyNames lists the names of Policies, in display order.
+func PolicyNames() []string {
+	names := make([]string, len(Policies))
+	for i, v := range Policies {
+		names[i] = v.Name
+	}
+	return names
+}
+
+// PolicyVariant looks a policy up in Policies by its exact name; an
+// unknown name's error lists every name.
+func PolicyVariant(name string) (Variant, error) {
+	for _, v := range Policies {
+		if v.Name == name {
+			return v, nil
+		}
+	}
+	return Variant{}, fmt.Errorf("unknown policy %q (valid policies: %s)",
+		name, strings.Join(PolicyNames(), ", "))
+}
+
 // StandardVariants returns the four configurations of Figures 18/21.
 func StandardVariants() []Variant {
-	return []Variant{
-		{Name: "baseline", Config: core.BaselineConfig()},
-		{Name: "colt-sa", Config: core.CoLTSAConfig(core.DefaultCoLTShift)},
-		{Name: "colt-fa", Config: core.CoLTFAConfig()},
-		{Name: "colt-all", Config: core.CoLTAllConfig()},
-	}
+	return append([]Variant(nil), Policies[:4]...)
 }
 
 // VariantResult is one TLB configuration's measurements.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"colt/internal/workload"
@@ -13,6 +14,61 @@ func TestSetups(t *testing.T) {
 	}
 	if !s[0].THP || s[1].THP || s[0].MemhogPct != 0 || s[4].MemhogPct != 50 {
 		t.Fatalf("setups malformed: %+v", s)
+	}
+}
+
+// TestKernelSetupNames pins the names the naming rule gives the five
+// paper setups: each is report bytes and seeds its jobs' streams.
+func TestKernelSetupNames(t *testing.T) {
+	want := []string{
+		"THS on, normal compaction",
+		"THS off, normal compaction",
+		"THS off, low compaction",
+		"THS on, normal compaction, memhog(25)",
+		"THS on, normal compaction, memhog(50)",
+	}
+	for i, s := range Setups() {
+		if s.Name != want[i] {
+			t.Errorf("setup %d is named %q, want %q", i, s.Name, want[i])
+		}
+		if again := KernelSetup(s.THP, s.Compaction, s.MemhogPct); again != s {
+			t.Errorf("KernelSetup(%v, %v, %d) = %+v, want %+v", s.THP, s.Compaction, s.MemhogPct, again, s)
+		}
+	}
+}
+
+// TestPolicyVariant: every name in the policy table resolves to its
+// entry, and an unknown or untrimmed name fails with an error that
+// lists every name.
+func TestPolicyVariant(t *testing.T) {
+	names := PolicyNames()
+	if len(names) != 5 {
+		t.Fatalf("PolicyNames = %v, want the five policies", names)
+	}
+	for i, name := range names {
+		v, err := PolicyVariant(name)
+		if err != nil {
+			t.Fatalf("PolicyVariant(%q): %v", name, err)
+		}
+		if v != Policies[i] {
+			t.Errorf("PolicyVariant(%q) = %+v, want %+v", name, v, Policies[i])
+		}
+	}
+	for i, v := range StandardVariants() {
+		if v != Policies[i] {
+			t.Errorf("standard variant %d = %+v, want policy %+v", i, v, Policies[i])
+		}
+	}
+	for _, bad := range []string{"colt-xl", "baseline ", ""} {
+		_, err := PolicyVariant(bad)
+		if err == nil {
+			t.Fatalf("PolicyVariant(%q) succeeded", bad)
+		}
+		for _, name := range names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("PolicyVariant(%q) error %q does not list %q", bad, err, name)
+			}
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ const (
 
 // QueueLen implements cluster.Host: current run-queue depth, the
 // number heartbeats gossip and readyz shows per peer.
-func (s *Server) QueueLen() int { return len(s.queue) }
+func (s *Server) QueueLen() int { return s.queue.len() }
 
 // Draining implements cluster.Host.
 func (s *Server) Draining() bool { return s.draining.Load() }

@@ -71,9 +71,9 @@ func newServerMetrics(srv *Server) *serverMetrics {
 	m.phaseTotal = r.Histogram(phase, phaseHelp, obs.LatencyBuckets, "phase", "total")
 
 	r.GaugeFunc("coltd_queue_depth", "Jobs currently in the bounded queue.",
-		func() float64 { return float64(len(srv.queue)) })
+		func() float64 { return float64(srv.queue.len()) })
 	r.GaugeFunc("coltd_queue_capacity", "Configured queue bound.",
-		func() float64 { return float64(cap(srv.queue)) })
+		func() float64 { return float64(srv.cfg.QueueDepth) })
 	for idx, st := range jobStates {
 		idx := idx
 		r.GaugeFunc("coltd_jobs_tracked", "Registry-tracked jobs by state.",

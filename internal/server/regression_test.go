@@ -171,6 +171,72 @@ func TestCancelDispatchRace(t *testing.T) {
 	}
 }
 
+// TestCanceledQueuedJobsFreeTheirSlots: a queued job its client
+// cancels gives its queue slot back at once. With both workers held
+// inside gated runs, the queue is filled, every queued job canceled,
+// and the next QueueDepth submissions must all be admitted. Before the
+// fix a canceled job kept its slot until a worker dequeued it, so
+// while the workers were busy these submissions were refused with
+// "job queue is full".
+func TestCanceledQueuedJobsFreeTheirSlots(t *testing.T) {
+	const depth = 4
+	gate := make(chan struct{})
+	s := newStubServer(t, Config{Workers: 2, QueueDepth: depth}, gate)
+	seed := uint64(0)
+	submit := func() *Job {
+		t.Helper()
+		seed++
+		return mustSubmit(t, s, Spec{Experiment: "stub", Seed: seed}).Job
+	}
+	var jobs []*Job
+	for i := 0; i < 2; i++ {
+		j := submit()
+		waitState(t, j, JobRunning)
+		jobs = append(jobs, j)
+	}
+	for i := 0; i < depth; i++ {
+		j := submit()
+		if !s.Cancel(j.ID) {
+			t.Fatalf("Cancel(%s) refused a queued job", j.ID)
+		}
+		if st, _ := j.State(); st != JobCanceled {
+			t.Fatalf("canceled queued job %s is %s", j.ID, st)
+		}
+	}
+	if st := s.Stats(); st.QueueLen != 0 {
+		t.Fatalf("queue_len = %d after every queued job was canceled, want 0", st.QueueLen)
+	}
+	for i := 0; i < depth; i++ {
+		jobs = append(jobs, submit())
+	}
+	if _, err := s.Submit(Spec{Experiment: "stub", Seed: 1000}); err != ErrQueueFull {
+		t.Fatalf("submit past the refilled queue: err = %v, want ErrQueueFull", err)
+	}
+	close(gate)
+	for _, j := range jobs {
+		waitState(t, j, JobDone)
+	}
+}
+
+// TestQueuePushSkipsCanceledJob: a job canceled after admission
+// reserved its slot but before the push (its ID is already
+// registered, so a DELETE can reach it) gives the slot back instead of
+// holding it until a worker pops it.
+func TestQueuePushSkipsCanceledJob(t *testing.T) {
+	q := newJobQueue(1)
+	if !q.reserve() {
+		t.Fatal("empty queue refused a reservation")
+	}
+	j := newJob("j000001", CanonicalJob{}, time.Now())
+	if !j.requestCancel() {
+		t.Fatal("requestCancel refused a queued job")
+	}
+	q.push(j)
+	if q.len() != 0 || !q.reserve() {
+		t.Fatalf("a canceled push holds its slot: len %d", q.len())
+	}
+}
+
 // TestQueueFullDoesNotBurnIDs: a refused submission must leave no
 // trace — in particular it must not consume a job ID. Before the fix,
 // Submit minted the ID before attempting the queue send, so a burst of

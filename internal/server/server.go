@@ -146,7 +146,7 @@ var (
 // and job sequence respectively (shard.go); counters are atomics
 // reconciled when Stats() reads them; the only whole-server lock is
 // admitMu, a read/write gate that submissions hold shared for the
-// instant of the queue send and Drain holds exclusive to close the
+// instant of the queue push and Drain holds exclusive to close the
 // queue — it orders admission against shutdown without serializing
 // admissions against each other.
 type Server struct {
@@ -163,7 +163,7 @@ type Server struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 
-	// admitMu orders queue sends against Drain's close(queue):
+	// admitMu orders queue pushes against Drain's queue.close():
 	// submissions hold it shared, drain holds it exclusive.
 	admitMu  sync.RWMutex
 	draining atomic.Bool
@@ -172,7 +172,6 @@ type Server struct {
 	reg   [numShards]regShard
 
 	nextID         atomic.Uint64
-	queueSlots     atomic.Int64 // remaining queue capacity; admission wins a slot before minting an ID
 	simulations    atomic.Uint64
 	coalesced      atomic.Uint64
 	pendingDropped atomic.Uint64 // journaled jobs a restart's replay could not resubmit
@@ -201,7 +200,7 @@ type Server struct {
 
 	probeStop chan struct{}
 
-	queue chan *Job
+	queue *jobQueue
 	wg    sync.WaitGroup
 
 	drainOnce sync.Once
@@ -244,7 +243,7 @@ func NewServer(cfg Config) (*Server, error) {
 		stop:           stop,
 		retainPerShard: cfg.RetainJobs / numShards,
 		keptLimit:      maxKeptReportBytes,
-		queue:          make(chan *Job, cfg.QueueDepth),
+		queue:          newJobQueue(cfg.QueueDepth),
 		retryRng:       rng.New(cfg.DiskFaultSeed ^ 0x5261667465724a6a).Stream("retry-after"),
 		probeStop:      make(chan struct{}),
 	}
@@ -252,7 +251,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if s.slog == nil {
 		s.slog = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s.queueSlots.Store(int64(cfg.QueueDepth))
 	// Cluster wiring happens in two steps: identity (the ID prefix)
 	// must exist before journal replay mints any job, while the
 	// heartbeat loop starts only once the server can actually execute
@@ -398,8 +396,8 @@ type SubmitResult struct {
 // The whole decision runs under the spec's admission shard lock only:
 // submissions of distinct specs are admitted concurrently, while
 // identical specs serialize just enough to guarantee one execution.
-// A queue slot is won (reserveSlot) before a job ID is minted, so a
-// refused submission consumes neither an ID nor a registry entry.
+// A queue slot is reserved before a job ID is minted, so a refused
+// submission consumes neither an ID nor a registry entry.
 func (s *Server) Submit(spec Spec) (SubmitResult, error) {
 	return s.SubmitTraced(spec, "")
 }
@@ -496,9 +494,9 @@ func (s *Server) SubmitTraced(spec Spec, trace string) (SubmitResult, error) {
 		}
 		return SubmitResult{Job: j, Created: true, Cached: true, ReportSum: sum}, nil
 	}
-	// Win a queue slot before minting an ID or constructing the job:
-	// refusals must leave no trace.
-	if !s.reserveSlot() {
+	// Reserve a queue slot before minting an ID or constructing the
+	// job: refusals must leave no trace.
+	if !s.queue.reserve() {
 		s.om.admitQueueFull.Inc()
 		logAfter = func() {
 			s.slog.Warn("admission refused", "trace", trace, "outcome", "queue_full",
@@ -520,9 +518,9 @@ func (s *Server) SubmitTraced(spec Spec, trace string) (SubmitResult, error) {
 	}
 	sh.byHash[can.Hash] = j
 	j.mark("queued", time.Now())
-	// Cannot block (a slot is held) and cannot hit a closed channel
+	// Fills the reserved slot; the queue cannot be closed yet
 	// (admitMu is read-held; Drain closes under the write lock).
-	s.queue <- j
+	s.queue.push(j)
 	s.om.admitAccepted.Inc()
 	logAfter = func() {
 		s.slog.Info("job admitted", "trace", trace, "outcome", "accepted",
@@ -632,21 +630,6 @@ func (s *Server) probeLoop() {
 	}
 }
 
-// reserveSlot claims one unit of queue capacity, failing when the
-// queue is full. The matching release happens when a worker dequeues
-// the job.
-func (s *Server) reserveSlot() bool {
-	for {
-		v := s.queueSlots.Load()
-		if v <= 0 {
-			return false
-		}
-		if s.queueSlots.CompareAndSwap(v, v-1) {
-			return true
-		}
-	}
-}
-
 func (s *Server) isDraining() bool { return s.draining.Load() }
 
 // worker consumes the queue. Once a drain begins, undispatched jobs
@@ -654,8 +637,11 @@ func (s *Server) isDraining() bool { return s.draining.Load() }
 // already inside when the drain starts runs to completion.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		s.queueSlots.Add(1) // the job left the queue; its slot frees
+	for {
+		j, ok := s.queue.pop()
+		if !ok {
+			return
+		}
 		if s.isDraining() {
 			s.checkpoint(j)
 			continue
@@ -869,6 +855,9 @@ func (s *Server) Cancel(id string) bool {
 	if !j.requestCancel() {
 		return false
 	}
+	// A queued job leaves the queue now, so its slot admits new work
+	// even while every worker is busy.
+	s.queue.remove(j)
 	s.dropInflight(j)
 	// A user cancel resolves the job: release its journal record so a
 	// restart doesn't resurrect work the client explicitly killed.
@@ -891,7 +880,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.admitMu.Lock()
 		s.draining.Store(true)
-		close(s.queue)
+		s.queue.close()
 		s.admitMu.Unlock()
 		close(s.probeStop)
 		if s.cluster != nil {
@@ -976,8 +965,8 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Draining:       s.draining.Load(),
-		QueueLen:       len(s.queue),
-		QueueCap:       cap(s.queue),
+		QueueLen:       s.queue.len(),
+		QueueCap:       s.cfg.QueueDepth,
 		Jobs:           s.trackedJobs(),
 		Simulations:    s.simulations.Load(),
 		Coalesced:      s.coalesced.Load(),
