@@ -5,7 +5,6 @@ import (
 
 	"colt/internal/core"
 	"colt/internal/stats"
-	"colt/internal/workload"
 )
 
 // This file holds the experiments that go beyond the paper's evaluation:
@@ -29,57 +28,48 @@ type PrefetchRow struct {
 	WalkOverheadPct float64
 }
 
-// PrefetchComparison runs baseline, the sequential prefetcher, CoLT-SA
-// and CoLT-All over the identical streams.
-func PrefetchComparison(opts Options) ([]PrefetchRow, error) {
-	variants := []Variant{
+// PrefetchVariants returns baseline, the sequential prefetcher, CoLT-SA
+// and CoLT-All.
+func PrefetchVariants() []Variant {
+	return []Variant{
 		{Name: "baseline", Config: core.BaselineConfig()},
 		{Name: "seq-prefetch", Config: core.SeqPrefetchConfig()},
 		{Name: "colt-sa", Config: core.CoLTSAConfig(core.DefaultCoLTShift)},
 		{Name: "colt-all", Config: core.CoLTAllConfig()},
 	}
-	rows, ok, err := mapJobs(opts, workload.All(),
-		func(spec workload.Spec) jobMeta {
-			return jobMeta{kind: "prefetch", bench: spec.Name, setup: SetupTHSOnNormal.Name}
-		},
-		func(spec workload.Spec, opts Options) (PrefetchRow, error) {
-			res, err := RunBenchmark(spec, SetupTHSOnNormal, opts, variants)
-			if err != nil {
-				return PrefetchRow{}, fmt.Errorf("prefetch comparison %s: %w", spec.Name, err)
-			}
-			base, _ := res.Variant("baseline")
-			pf, _ := res.Variant("seq-prefetch")
-			sa, _ := res.Variant("colt-sa")
-			all, _ := res.Variant("colt-all")
-			row := PrefetchRow{
-				Bench:        spec.Name,
-				PrefetchElim: stats.PercentEliminated(float64(base.TLB.L2Misses), float64(pf.TLB.L2Misses)),
-				SAElim:       stats.PercentEliminated(float64(base.TLB.L2Misses), float64(sa.TLB.L2Misses)),
-				AllElim:      stats.PercentEliminated(float64(base.TLB.L2Misses), float64(all.TLB.L2Misses)),
-			}
-			if base.TLB.Walks > 0 {
-				row.WalkOverheadPct = 100 * float64(pf.Prefetch.PrefetchWalks) / float64(base.TLB.Walks)
-			}
-			return row, nil
-		})
+}
+
+// PrefetchComparison runs PrefetchVariants over the identical streams.
+func PrefetchComparison(opts Options) ([]PrefetchRow, error) {
+	ev, err := runEvaluation(opts, "prefetch", "prefetch comparison", PrefetchVariants())
 	if err != nil {
 		return nil, err
 	}
-	return surviving(rows, ok), nil
+	var rows []PrefetchRow
+	for i, e := range ev.Eliminations() {
+		base, _ := ev.Results[i].Variant("baseline")
+		pf, _ := ev.Results[i].Variant("seq-prefetch")
+		row := PrefetchRow{
+			Bench:        e.Bench,
+			PrefetchElim: e.L2["seq-prefetch"],
+			SAElim:       e.L2["colt-sa"],
+			AllElim:      e.L2["colt-all"],
+		}
+		if base.TLB.Walks > 0 {
+			row.WalkOverheadPct = 100 * float64(pf.Prefetch.PrefetchWalks) / float64(base.TLB.Walks)
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // RenderPrefetchComparison formats the comparison as text.
 func RenderPrefetchComparison(rows []PrefetchRow) string {
 	t := stats.NewTable("Benchmark", "Prefetch L2 elim", "CoLT-SA L2 elim", "CoLT-All L2 elim", "Prefetch walk overhead")
-	var p, sa, all, ov stats.Summary
 	for _, r := range rows {
 		t.AddRow(r.Bench, r.PrefetchElim, r.SAElim, r.AllElim, r.WalkOverheadPct)
-		p.Add(r.PrefetchElim)
-		sa.Add(r.SAElim)
-		all.Add(r.AllElim)
-		ov.Add(r.WalkOverheadPct)
 	}
-	t.AddRow("Average", p.Mean(), sa.Mean(), all.Mean(), ov.Mean())
+	t.AddAverage("Average")
 	return "Extension: CoLT vs sequential TLB prefetching (% of baseline L2 misses eliminated;\n" +
 		"prefetch overhead = extra walks as % of baseline demand walks)\n" + t.String()
 }
@@ -99,49 +89,41 @@ type SubblockRow struct {
 	RejectedPct float64
 }
 
-// SubblockComparison runs baseline, partial-subblock, and CoLT-SA.
-func SubblockComparison(opts Options) ([]SubblockRow, error) {
-	variants := []Variant{
+// SubblockVariants returns baseline, partial-subblock, and CoLT-SA.
+func SubblockVariants() []Variant {
+	return []Variant{
 		{Name: "baseline", Config: core.BaselineConfig()},
 		{Name: "partial-subblock", Config: core.PartialSubblockConfig()},
 		{Name: "colt-sa", Config: core.CoLTSAConfig(core.DefaultCoLTShift)},
 	}
-	rows, ok, err := mapJobs(opts, workload.All(),
-		func(spec workload.Spec) jobMeta {
-			return jobMeta{kind: "subblock", bench: spec.Name, setup: SetupTHSOnNormal.Name}
-		},
-		func(spec workload.Spec, opts Options) (SubblockRow, error) {
-			res, err := RunBenchmark(spec, SetupTHSOnNormal, opts, variants)
-			if err != nil {
-				return SubblockRow{}, fmt.Errorf("subblock comparison %s: %w", spec.Name, err)
-			}
-			base, _ := res.Variant("baseline")
-			sb, _ := res.Variant("partial-subblock")
-			sa, _ := res.Variant("colt-sa")
-			return SubblockRow{
-				Bench:        spec.Name,
-				SubblockElim: stats.PercentEliminated(float64(base.TLB.L2Misses), float64(sb.TLB.L2Misses)),
-				SAElim:       stats.PercentEliminated(float64(base.TLB.L2Misses), float64(sa.TLB.L2Misses)),
-				RejectedPct:  sb.SubblockRejectedPct,
-			}, nil
-		})
+}
+
+// SubblockComparison runs SubblockVariants over the identical streams.
+func SubblockComparison(opts Options) ([]SubblockRow, error) {
+	ev, err := runEvaluation(opts, "subblock", "subblock comparison", SubblockVariants())
 	if err != nil {
 		return nil, err
 	}
-	return surviving(rows, ok), nil
+	var rows []SubblockRow
+	for i, e := range ev.Eliminations() {
+		sb, _ := ev.Results[i].Variant("partial-subblock")
+		rows = append(rows, SubblockRow{
+			Bench:        e.Bench,
+			SubblockElim: e.L2["partial-subblock"],
+			SAElim:       e.L2["colt-sa"],
+			RejectedPct:  sb.SubblockRejectedPct,
+		})
+	}
+	return rows, nil
 }
 
 // RenderSubblockComparison formats the comparison as text.
 func RenderSubblockComparison(rows []SubblockRow) string {
 	t := stats.NewTable("Benchmark", "Subblock L2 elim", "CoLT-SA L2 elim", "Align-rejected %")
-	var sb, sa, rj stats.Summary
 	for _, r := range rows {
 		t.AddRow(r.Bench, r.SubblockElim, r.SAElim, r.RejectedPct)
-		sb.Add(r.SubblockElim)
-		sa.Add(r.SAElim)
-		rj.Add(r.RejectedPct)
 	}
-	t.AddRow("Average", sb.Mean(), sa.Mean(), rj.Mean())
+	t.AddAverage("Average")
 	return "Extension: CoLT-SA vs partial-subblock TLBs (Talluri & Hill; §2.3)\n" +
 		"(elim = % of baseline L2 misses; align-rejected = subblock fills blocked by physical misalignment)\n" +
 		t.String()
@@ -191,35 +173,32 @@ type SupSizeRow struct {
 // SupSizes swept by SupSizeSensitivity.
 var SupSizes = []int{4, 8, 16, 32}
 
-// SupSizeSensitivity runs CoLT-FA at several superpage-TLB sizes.
-func SupSizeSensitivity(opts Options) ([]SupSizeRow, error) {
+// SupSizeVariants returns baseline plus CoLT-FA at each of SupSizes.
+func SupSizeVariants() []Variant {
 	variants := []Variant{{Name: "baseline", Config: core.BaselineConfig()}}
 	for _, n := range SupSizes {
 		cfg := core.CoLTFAConfig()
 		cfg.SupEntries = n
 		variants = append(variants, Variant{Name: fmt.Sprintf("fa-%d", n), Config: cfg})
 	}
-	rows, ok, err := mapJobs(opts, workload.All(),
-		func(spec workload.Spec) jobMeta {
-			return jobMeta{kind: "sup-size", bench: spec.Name, setup: SetupTHSOnNormal.Name}
-		},
-		func(spec workload.Spec, opts Options) (SupSizeRow, error) {
-			res, err := RunBenchmark(spec, SetupTHSOnNormal, opts, variants)
-			if err != nil {
-				return SupSizeRow{}, fmt.Errorf("sup-size sweep %s: %w", spec.Name, err)
-			}
-			base, _ := res.Variant("baseline")
-			row := SupSizeRow{Bench: spec.Name, Elim: map[int]float64{}}
-			for _, n := range SupSizes {
-				v, _ := res.Variant(fmt.Sprintf("fa-%d", n))
-				row.Elim[n] = stats.PercentEliminated(float64(base.TLB.L2Misses), float64(v.TLB.L2Misses))
-			}
-			return row, nil
-		})
+	return variants
+}
+
+// SupSizeSensitivity runs CoLT-FA at several superpage-TLB sizes.
+func SupSizeSensitivity(opts Options) ([]SupSizeRow, error) {
+	ev, err := runEvaluation(opts, "sup-size", "sup-size sweep", SupSizeVariants())
 	if err != nil {
 		return nil, err
 	}
-	return surviving(rows, ok), nil
+	var rows []SupSizeRow
+	for _, e := range ev.Eliminations() {
+		row := SupSizeRow{Bench: e.Bench, Elim: map[int]float64{}}
+		for _, n := range SupSizes {
+			row.Elim[n] = e.L2[fmt.Sprintf("fa-%d", n)]
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // RenderSupSizeSensitivity formats the sweep as text.
@@ -229,23 +208,14 @@ func RenderSupSizeSensitivity(rows []SupSizeRow) string {
 		header = append(header, fmt.Sprintf("FA %d-entry", n))
 	}
 	t := stats.NewTable(header...)
-	sums := map[int]*stats.Summary{}
 	for _, r := range rows {
 		cells := []any{r.Bench}
 		for _, n := range SupSizes {
 			cells = append(cells, r.Elim[n])
-			if sums[n] == nil {
-				sums[n] = &stats.Summary{}
-			}
-			sums[n].Add(r.Elim[n])
 		}
 		t.AddRow(cells...)
 	}
-	avg := []any{"Average"}
-	for _, n := range SupSizes {
-		avg = append(avg, sums[n].Mean())
-	}
-	t.AddRow(avg...)
+	t.AddAverage("Average")
 	return "Extension: CoLT-FA superpage-TLB size sensitivity (% of baseline L2 misses eliminated)\n" + t.String()
 }
 
@@ -253,7 +223,8 @@ func RenderSupSizeSensitivity(rows []SupSizeRow) string {
 // how much conventional capacity does coalescing substitute for?
 type L2SizeRow struct {
 	Bench string
-	// MissesPerM maps "<entries>/<variant>" to L2 MPMI.
+	// BaseMPMI and SAMPMI map an L2 entry count to the baseline's and
+	// CoLT-SA's L2 MPMI at that size.
 	BaseMPMI map[int]float64
 	SAMPMI   map[int]float64
 }
@@ -261,8 +232,8 @@ type L2SizeRow struct {
 // L2Sizes swept by L2SizeSensitivity (entries; 4-way throughout).
 var L2Sizes = []int{64, 128, 256, 512}
 
-// L2SizeSensitivity runs baseline and CoLT-SA across L2 TLB sizes.
-func L2SizeSensitivity(opts Options) ([]L2SizeRow, error) {
+// L2SizeVariants returns baseline and CoLT-SA at each of L2Sizes.
+func L2SizeVariants() []Variant {
 	var variants []Variant
 	for _, n := range L2Sizes {
 		base := core.BaselineConfig()
@@ -273,30 +244,27 @@ func L2SizeSensitivity(opts Options) ([]L2SizeRow, error) {
 			Variant{Name: fmt.Sprintf("base-%d", n), Config: base},
 			Variant{Name: fmt.Sprintf("sa-%d", n), Config: sa})
 	}
-	rows, ok, err := mapJobs(opts, workload.All(),
-		func(spec workload.Spec) jobMeta {
-			return jobMeta{kind: "l2-size", bench: spec.Name, setup: SetupTHSOnNormal.Name}
-		},
-		func(spec workload.Spec, opts Options) (L2SizeRow, error) {
-			res, err := RunBenchmark(spec, SetupTHSOnNormal, opts, variants)
-			if err != nil {
-				return L2SizeRow{}, fmt.Errorf("l2-size sweep %s: %w", spec.Name, err)
-			}
-			row := L2SizeRow{Bench: spec.Name, BaseMPMI: map[int]float64{}, SAMPMI: map[int]float64{}}
-			for _, n := range L2Sizes {
-				if v, ok := res.Variant(fmt.Sprintf("base-%d", n)); ok {
-					_, row.BaseMPMI[n] = v.MPMI()
-				}
-				if v, ok := res.Variant(fmt.Sprintf("sa-%d", n)); ok {
-					_, row.SAMPMI[n] = v.MPMI()
-				}
-			}
-			return row, nil
-		})
+	return variants
+}
+
+// L2SizeSensitivity runs baseline and CoLT-SA across L2 TLB sizes.
+func L2SizeSensitivity(opts Options) ([]L2SizeRow, error) {
+	ev, err := runEvaluation(opts, "l2-size", "l2-size sweep", L2SizeVariants())
 	if err != nil {
 		return nil, err
 	}
-	return surviving(rows, ok), nil
+	var rows []L2SizeRow
+	for _, res := range ev.Results {
+		row := L2SizeRow{Bench: res.Bench, BaseMPMI: map[int]float64{}, SAMPMI: map[int]float64{}}
+		for _, n := range L2Sizes {
+			base, _ := res.Variant(fmt.Sprintf("base-%d", n))
+			sa, _ := res.Variant(fmt.Sprintf("sa-%d", n))
+			_, row.BaseMPMI[n] = base.MPMI()
+			_, row.SAMPMI[n] = sa.MPMI()
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // RenderL2SizeSensitivity formats the sweep as text.

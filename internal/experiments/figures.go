@@ -206,14 +206,10 @@ func memhogSweep(opts Options, ths bool) ([]MemhogRow, error) {
 // RenderMemhog formats Figure 16 or 17 as text.
 func RenderMemhog(title string, rows []MemhogRow) string {
 	t := stats.NewTable("Benchmark", "No Memhog", "Memhog(25)", "Memhog(50)")
-	var a0, a25, a50 stats.Summary
 	for _, r := range rows {
 		t.AddRow(r.Bench, r.NoMemhog, r.Memhog25, r.Memhog50)
-		a0.Add(r.NoMemhog)
-		a25.Add(r.Memhog25)
-		a50.Add(r.Memhog50)
 	}
-	t.AddRow("Average", a0.Mean(), a25.Mean(), a50.Mean())
+	t.AddAverage("Average")
 	return title + "\n" + t.String()
 }
 
@@ -235,14 +231,20 @@ type Evaluation struct {
 // stream in lockstep. Under fault injection, benchmarks whose jobs
 // fail terminally are dropped and the evaluation covers the survivors.
 func RunEvaluation(opts Options, variants []Variant) (*Evaluation, error) {
+	return runEvaluation(opts, "evaluation", "evaluation", variants)
+}
+
+// runEvaluation is RunEvaluation with the job kind and error label that
+// name a driver's failure records under fault injection.
+func runEvaluation(opts Options, kind, label string, variants []Variant) (*Evaluation, error) {
 	results, ok, err := mapJobs(opts, workload.All(),
 		func(spec workload.Spec) jobMeta {
-			return jobMeta{kind: "evaluation", bench: spec.Name, setup: SetupTHSOnNormal.Name}
+			return jobMeta{kind: kind, bench: spec.Name, setup: SetupTHSOnNormal.Name}
 		},
 		func(spec workload.Spec, opts Options) (*BenchResult, error) {
 			res, err := RunBenchmark(spec, SetupTHSOnNormal, opts, variants)
 			if err != nil {
-				return nil, fmt.Errorf("evaluation %s: %w", spec.Name, err)
+				return nil, fmt.Errorf("%s %s: %w", label, spec.Name, err)
 			}
 			return res, nil
 		})
@@ -295,7 +297,8 @@ type EliminationRow struct {
 }
 
 // Eliminations computes Figure 18 (or 19, depending on the variant set)
-// from the evaluation.
+// from the evaluation: one row per result that ran the baseline, so a
+// RunEvaluation's rows line up with its Results.
 func (e *Evaluation) Eliminations() []EliminationRow {
 	var rows []EliminationRow
 	for _, res := range e.Results {
@@ -323,25 +326,14 @@ func RenderEliminations(title string, variantNames []string, rows []EliminationR
 		header = append(header, "L1 "+n, "L2 "+n)
 	}
 	t := stats.NewTable(header...)
-	sums := make(map[string]*stats.Summary)
 	for _, r := range rows {
 		cells := []any{r.Bench}
 		for _, n := range variantNames {
 			cells = append(cells, r.L1[n], r.L2[n])
-			for lvl, v := range map[string]float64{"L1 " + n: r.L1[n], "L2 " + n: r.L2[n]} {
-				if sums[lvl] == nil {
-					sums[lvl] = &stats.Summary{}
-				}
-				sums[lvl].Add(v)
-			}
 		}
 		t.AddRow(cells...)
 	}
-	avg := []any{"Average"}
-	for _, n := range variantNames {
-		avg = append(avg, sums["L1 "+n].Mean(), sums["L2 "+n].Mean())
-	}
-	t.AddRow(avg...)
+	t.AddAverage("Average")
 	return title + "\n" + t.String()
 }
 
@@ -381,25 +373,14 @@ func RenderPerformance(variantNames []string, rows []PerfRow) string {
 	header := []string{"Benchmark", "Perfect"}
 	header = append(header, variantNames...)
 	t := stats.NewTable(header...)
-	var perfSum stats.Summary
-	sums := make(map[string]*stats.Summary)
 	for _, r := range rows {
 		cells := []any{r.Bench, r.Perfect}
-		perfSum.Add(r.Perfect)
 		for _, n := range variantNames {
 			cells = append(cells, r.Gains[n])
-			if sums[n] == nil {
-				sums[n] = &stats.Summary{}
-			}
-			sums[n].Add(r.Gains[n])
 		}
 		t.AddRow(cells...)
 	}
-	avg := []any{"Average", perfSum.Mean()}
-	for _, n := range variantNames {
-		avg = append(avg, sums[n].Mean())
-	}
-	t.AddRow(avg...)
+	t.AddAverage("Average")
 	return "Figure 21: performance improvement (%) over baseline\n" + t.String()
 }
 
@@ -433,37 +414,30 @@ type AssocRow struct {
 	SA4, NoCoLT8, SA8 float64
 }
 
-// Figure20 runs the associativity study: fixed 128-entry L2 at 4-way
-// vs 8-way, with and without CoLT-SA.
-func Figure20(opts Options) ([]AssocRow, error) {
+// AssocVariants returns the fixed 128-entry L2 at 4-way and 8-way, with
+// and without CoLT-SA; the 4-way baseline comes first.
+func AssocVariants() []Variant {
 	base8 := core.BaselineConfig()
 	base8.L2Sets, base8.L2Ways = 16, 8
 	sa8 := core.CoLTSAConfig(core.DefaultCoLTShift)
 	sa8.L2Sets, sa8.L2Ways = 16, 8
-	variants := []Variant{
+	return []Variant{
 		{Name: "base-4way", Config: core.BaselineConfig()},
 		{Name: "sa-4way", Config: core.CoLTSAConfig(core.DefaultCoLTShift)},
 		{Name: "base-8way", Config: base8},
 		{Name: "sa-8way", Config: sa8},
 	}
-	ev, err := RunEvaluation(opts, variants)
+}
+
+// Figure20 runs the associativity study over AssocVariants.
+func Figure20(opts Options) ([]AssocRow, error) {
+	ev, err := RunEvaluation(opts, AssocVariants())
 	if err != nil {
 		return nil, err
 	}
 	var rows []AssocRow
-	for _, res := range ev.Results {
-		base, _ := res.Variant("base-4way")
-		row := AssocRow{Bench: res.Bench}
-		if v, ok := res.Variant("sa-4way"); ok {
-			row.SA4 = stats.PercentEliminated(float64(base.TLB.L2Misses), float64(v.TLB.L2Misses))
-		}
-		if v, ok := res.Variant("base-8way"); ok {
-			row.NoCoLT8 = stats.PercentEliminated(float64(base.TLB.L2Misses), float64(v.TLB.L2Misses))
-		}
-		if v, ok := res.Variant("sa-8way"); ok {
-			row.SA8 = stats.PercentEliminated(float64(base.TLB.L2Misses), float64(v.TLB.L2Misses))
-		}
-		rows = append(rows, row)
+	for _, e := range ev.Eliminations() {
+		rows = append(rows, AssocRow{Bench: e.Bench, SA4: e.L2["sa-4way"], NoCoLT8: e.L2["base-8way"], SA8: e.L2["sa-8way"]})
 	}
 	return rows, nil
 }
@@ -471,14 +445,10 @@ func Figure20(opts Options) ([]AssocRow, error) {
 // RenderFigure20 formats the associativity study as text.
 func RenderFigure20(rows []AssocRow) string {
 	t := stats.NewTable("Benchmark", "4-way CoLT-SA", "8-way no CoLT", "8-way CoLT-SA")
-	var s4, n8, s8 stats.Summary
 	for _, r := range rows {
 		t.AddRow(r.Bench, r.SA4, r.NoCoLT8, r.SA8)
-		s4.Add(r.SA4)
-		n8.Add(r.NoCoLT8)
-		s8.Add(r.SA8)
 	}
-	t.AddRow("Average", s4.Mean(), n8.Mean(), s8.Mean())
+	t.AddAverage("Average")
 	return "Figure 20: % of baseline (4-way, no CoLT) L2 misses eliminated\n" + t.String()
 }
 
@@ -486,26 +456,36 @@ func RenderFigure20(rows []AssocRow) string {
 // §7.1.3 ablations: the L2 fill policies of CoLT-FA and CoLT-All.
 // ---------------------------------------------------------------------
 
-// AblationFAL2Fill compares CoLT-FA with and without bringing the
-// requested translation into the L2 TLB.
-func AblationFAL2Fill(opts Options) (*Evaluation, error) {
+// FAL2FillVariants returns baseline plus CoLT-FA with and without
+// bringing the requested translation into the L2 TLB.
+func FAL2FillVariants() []Variant {
 	noFill := core.CoLTFAConfig()
 	noFill.FAL2Fill = false
-	return RunEvaluation(opts, []Variant{
+	return []Variant{
 		{Name: "baseline", Config: core.BaselineConfig()},
 		{Name: "fa-l2fill", Config: core.CoLTFAConfig()},
 		{Name: "fa-nofill", Config: noFill},
-	})
+	}
 }
 
-// AblationAllL2Fill compares CoLT-All with and without inserting the
-// clipped coalesced entry into the L2 TLB.
-func AblationAllL2Fill(opts Options) (*Evaluation, error) {
+// AblationFAL2Fill evaluates FAL2FillVariants.
+func AblationFAL2Fill(opts Options) (*Evaluation, error) {
+	return RunEvaluation(opts, FAL2FillVariants())
+}
+
+// AllL2FillVariants returns baseline plus CoLT-All with and without
+// inserting the clipped coalesced entry into the L2 TLB.
+func AllL2FillVariants() []Variant {
 	noFill := core.CoLTAllConfig()
 	noFill.AllL2Fill = false
-	return RunEvaluation(opts, []Variant{
+	return []Variant{
 		{Name: "baseline", Config: core.BaselineConfig()},
 		{Name: "all-l2fill", Config: core.CoLTAllConfig()},
 		{Name: "all-nofill", Config: noFill},
-	})
+	}
+}
+
+// AblationAllL2Fill evaluates AllL2FillVariants.
+func AblationAllL2Fill(opts Options) (*Evaluation, error) {
+	return RunEvaluation(opts, AllL2FillVariants())
 }

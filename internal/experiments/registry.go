@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"colt/internal/metrics"
 	"colt/internal/workload"
 )
 
@@ -136,7 +137,7 @@ func contiguityFigures(opts Options, text *strings.Builder) error {
 // timelineBenches are the benchmarks the timeline entry follows.
 var timelineBenches = []string{"Mcf", "Sjeng"}
 
-func timelines(opts Options) ([][]TimelinePoint, error) {
+func timelines(opts Options) ([][]metrics.TimelinePoint, error) {
 	specs := make([]workload.Spec, len(timelineBenches))
 	for i, name := range timelineBenches {
 		spec, err := workload.ByName(name)
@@ -148,7 +149,7 @@ func timelines(opts Options) ([][]TimelinePoint, error) {
 	return Timelines(specs, SetupTHSOnMemhog50, opts, 6)
 }
 
-func renderTimelines(series [][]TimelinePoint) string {
+func renderTimelines(series [][]metrics.TimelinePoint) string {
 	var b strings.Builder
 	for i, points := range series {
 		if points == nil {

@@ -408,7 +408,7 @@ func (b *BenchResult) MetricsRecord(seed uint64) metrics.Record {
 		Setup:        b.Setup.Name,
 		Seed:         seed,
 		Instructions: b.Instructions,
-		Spans:        metrics.SpansFrom(b.Spans),
+		Spans:        b.Spans,
 		Hists:        b.Hists,
 	}
 	model := perf.Default()
@@ -648,8 +648,8 @@ func RunContiguity(spec workload.Spec, setup SystemSetup, opts Options) (contig.
 		seed := seedFor(opts.Seed, spec.Name, setup.Name)
 		rec := contigRecord(spec.Name, setup, seed, res)
 		if opts.Histograms {
-			rec.Spans = metrics.SpansFrom(spans.All())
-			rec.Hists = &metrics.RecordHists{ContigRun: metrics.HistFrom(&res.RunLenHist)}
+			rec.Spans = spans.All()
+			rec.Hists = &metrics.RecordHists{ContigRun: res.RunLenHist.Snapshot()}
 		}
 		opts.Metrics.Add(rec, time.Since(start))
 		opts.Metrics.AddSpans(metrics.KindContig, spec.Name, setup.Name, spans.All())
@@ -952,8 +952,8 @@ func (b *benchSim) result() *BenchResult {
 	}
 	if b.histograms {
 		res.Hists = &metrics.RecordHists{
-			ContigRun: metrics.HistFrom(&b.contig.RunLenHist),
-			WalkDepth: metrics.HistFrom(&b.walkDepth),
+			ContigRun: b.contig.RunLenHist.Snapshot(),
+			WalkDepth: b.walkDepth.Snapshot(),
 		}
 	}
 	for _, s := range b.sims {
@@ -977,9 +977,9 @@ func (b *benchSim) result() *BenchResult {
 		}
 		if b.histograms && s.tel != nil {
 			vr.Hists = &metrics.VariantHists{
-				CoalesceLen: metrics.HistFrom(&s.tel.CoalesceLen),
-				WalkCycles:  metrics.HistFrom(&s.tel.WalkCycles),
-				EntryLife:   metrics.HistFrom(&s.tel.EntryLife),
+				CoalesceLen: s.tel.CoalesceLen.Snapshot(),
+				WalkCycles:  s.tel.WalkCycles.Snapshot(),
+				EntryLife:   s.tel.EntryLife.Snapshot(),
 			}
 		}
 		res.Variants = append(res.Variants, vr)

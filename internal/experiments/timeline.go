@@ -19,22 +19,9 @@ import (
 // run — after the build, and between slices of foreground references
 // interleaved with background system activity — rather than only once.
 
-// TimelinePoint is one periodic page-table scan.
-type TimelinePoint struct {
-	// RefsDone is how many foreground references had executed.
-	RefsDone int
-	// PageAvg and RunAvg are the two contiguity averages.
-	PageAvg, RunAvg float64
-	// MappedPages is the workload's resident page count (drops under
-	// swap pressure).
-	MappedPages int
-	// Superpages counts currently huge-mapped pages.
-	Superpages int
-}
-
 // ContiguityTimeline runs one benchmark under the setup and scans its
 // page table at `samples` evenly spaced points.
-func ContiguityTimeline(spec workload.Spec, setup SystemSetup, opts Options, samples int) ([]TimelinePoint, error) {
+func ContiguityTimeline(spec workload.Spec, setup SystemSetup, opts Options, samples int) ([]metrics.TimelinePoint, error) {
 	if samples < 2 {
 		return nil, fmt.Errorf("timeline needs at least 2 samples, got %d", samples)
 	}
@@ -59,9 +46,9 @@ func ContiguityTimeline(spec workload.Spec, setup SystemSetup, opts Options, sam
 	}
 	var churnLive []*vm.Region
 
-	scan := func(refs int) TimelinePoint {
+	scan := func(refs int) metrics.TimelinePoint {
 		res := contig.Scan(proc.Table)
-		return TimelinePoint{
+		return metrics.TimelinePoint{
 			RefsDone:    refs,
 			PageAvg:     res.AverageContiguity(),
 			RunAvg:      res.RunWeightedAverage(),
@@ -70,7 +57,7 @@ func ContiguityTimeline(spec workload.Spec, setup SystemSetup, opts Options, sam
 		}
 	}
 
-	points := []TimelinePoint{scan(0)}
+	points := []metrics.TimelinePoint{scan(0)}
 	slice := opts.Refs / (samples - 1)
 	if slice == 0 {
 		slice = 1
@@ -117,22 +104,13 @@ func ContiguityTimeline(spec workload.Spec, setup SystemSetup, opts Options, sam
 		return nil, err
 	}
 	if opts.Metrics != nil {
-		rec := metrics.Record{
-			Kind:  metrics.KindTimeline,
-			Bench: spec.Name,
-			Setup: setup.Name,
-			Seed:  seedFor(opts.Seed, spec.Name, setup.Name),
-		}
-		for _, p := range points {
-			rec.Timeline = append(rec.Timeline, metrics.TimelinePoint{
-				RefsDone:    p.RefsDone,
-				PageAvg:     p.PageAvg,
-				RunAvg:      p.RunAvg,
-				MappedPages: p.MappedPages,
-				Superpages:  p.Superpages,
-			})
-		}
-		opts.Metrics.Add(rec, time.Since(start))
+		opts.Metrics.Add(metrics.Record{
+			Kind:     metrics.KindTimeline,
+			Bench:    spec.Name,
+			Setup:    setup.Name,
+			Seed:     seedFor(opts.Seed, spec.Name, setup.Name),
+			Timeline: points,
+		}, time.Since(start))
 	}
 	return points, nil
 }
@@ -141,12 +119,12 @@ func ContiguityTimeline(spec workload.Spec, setup SystemSetup, opts Options, sam
 // them across the scheduler; results keep the order of specs. Under
 // fault injection a failed benchmark leaves a nil entry at its
 // position rather than failing the whole sweep.
-func Timelines(specs []workload.Spec, setup SystemSetup, opts Options, samples int) ([][]TimelinePoint, error) {
+func Timelines(specs []workload.Spec, setup SystemSetup, opts Options, samples int) ([][]metrics.TimelinePoint, error) {
 	series, ok, err := mapJobs(opts, specs,
 		func(spec workload.Spec) jobMeta {
 			return jobMeta{kind: "timeline", bench: spec.Name, setup: setup.Name}
 		},
-		func(spec workload.Spec, opts Options) ([]TimelinePoint, error) {
+		func(spec workload.Spec, opts Options) ([]metrics.TimelinePoint, error) {
 			return ContiguityTimeline(spec, setup, opts, samples)
 		})
 	if err != nil {
@@ -154,7 +132,7 @@ func Timelines(specs []workload.Spec, setup SystemSetup, opts Options, samples i
 	}
 	// Copy survivors into a fresh slice: a timed-out job's goroutine may
 	// still be writing into the scheduler's result slot.
-	out := make([][]TimelinePoint, len(specs))
+	out := make([][]metrics.TimelinePoint, len(specs))
 	for i := range series {
 		if ok[i] {
 			out[i] = series[i]
@@ -164,7 +142,7 @@ func Timelines(specs []workload.Spec, setup SystemSetup, opts Options, samples i
 }
 
 // RenderTimeline formats a timeline as text.
-func RenderTimeline(bench string, setup SystemSetup, points []TimelinePoint) string {
+func RenderTimeline(bench string, setup SystemSetup, points []metrics.TimelinePoint) string {
 	t := stats.NewTable("Refs", "PageAvg", "RunAvg", "Mapped", "Superpages")
 	for _, p := range points {
 		t.AddRow(p.RefsDone, p.PageAvg, p.RunAvg, p.MappedPages, p.Superpages)

@@ -90,9 +90,17 @@ func buildHostBacking(guestFrames int, opts Options, bench string) (*pagetable.T
 	return host, nil
 }
 
+// VirtVariants returns the baseline and CoLT-All, the hierarchies the
+// virtualization comparison runs natively and behind the nested walker.
+func VirtVariants() []Variant {
+	return []Variant{
+		{Name: "baseline", Config: core.BaselineConfig()},
+		{Name: "colt-all", Config: core.CoLTAllConfig()},
+	}
+}
+
 // VirtualizationComparison runs each benchmark natively and behind the
-// nested walker, with the baseline and CoLT-All hierarchies on the
-// identical reference stream.
+// nested walker, with VirtVariants on the identical reference stream.
 func VirtualizationComparison(opts Options) ([]VirtRow, error) {
 	model := perf.Default()
 	// Each benchmark's native + virtualized pair is one scheduler job:
@@ -103,10 +111,7 @@ func VirtualizationComparison(opts Options) ([]VirtRow, error) {
 		},
 		func(spec workload.Spec, opts Options) (VirtRow, error) {
 			// Native run reuses the standard pipeline.
-			native, err := RunBenchmark(spec, SetupTHSOnNormal, opts, []Variant{
-				{Name: "baseline", Config: core.BaselineConfig()},
-				{Name: "colt-all", Config: core.CoLTAllConfig()},
-			})
+			native, err := RunBenchmark(spec, SetupTHSOnNormal, opts, VirtVariants())
 			if err != nil {
 				return VirtRow{}, fmt.Errorf("native %s: %w", spec.Name, err)
 			}
@@ -143,7 +148,7 @@ func VirtualizationComparison(opts Options) ([]VirtRow, error) {
 }
 
 // runVirtualized builds the guest system + workload, backs it with a
-// host table, and runs baseline and CoLT-All over the nested walker.
+// host table, and runs VirtVariants over the nested walker.
 func runVirtualized(spec workload.Spec, opts Options) ([2]VariantResult, error) {
 	start := time.Now()
 	var out [2]VariantResult
@@ -164,20 +169,19 @@ func runVirtualized(spec workload.Spec, opts Options) ([2]VariantResult, error) 
 		return out, err
 	}
 
-	configs := []core.Config{core.BaselineConfig(), core.CoLTAllConfig()}
-	names := []string{"baseline", "colt-all"}
+	variants := VirtVariants()
 	type simState struct {
 		hier   *core.Hierarchy
 		caches *cache.Hierarchy
 		stall  uint64
 	}
-	sims := make([]simState, len(configs))
-	for i, cfg := range configs {
+	sims := make([]simState, len(variants))
+	for i, v := range variants {
 		caches := cache.DefaultHierarchy()
 		walker := mmu.NewNestedWalker(proc.Table, host, caches,
 			mmu.NewWalkCache(mmu.DefaultWalkCacheEntries),
 			mmu.NewWalkCache(mmu.DefaultWalkCacheEntries))
-		sims[i] = simState{hier: core.NewHierarchy(cfg, walker), caches: caches}
+		sims[i] = simState{hier: core.NewHierarchy(v.Config, walker), caches: caches}
 	}
 
 	var instructions uint64
@@ -221,8 +225,8 @@ func runVirtualized(spec workload.Spec, opts Options) ([2]VariantResult, error) 
 	for j := range sims {
 		st := sims[j].hier.Stats()
 		out[j] = VariantResult{
-			Name:   names[j],
-			Policy: configs[j].Policy.String(),
+			Name:   variants[j].Name,
+			Policy: variants[j].Config.Policy.String(),
 			TLB:    st,
 			Levels: sims[j].hier.LevelStats(),
 			Run: perf.Run{
@@ -248,16 +252,10 @@ func runVirtualized(spec workload.Spec, opts Options) ([2]VariantResult, error) 
 // RenderVirtualization formats the comparison as text.
 func RenderVirtualization(rows []VirtRow) string {
 	t := stats.NewTable("Benchmark", "Native elim", "Virt elim", "Native speedup", "Virt speedup", "Walk inflation")
-	var ne, ve, ns, vs, wi stats.Summary
 	for _, r := range rows {
 		t.AddRow(r.Bench, r.NativeElim, r.VirtElim, r.NativeSpeedup, r.VirtSpeedup, r.WalkInflation)
-		ne.Add(r.NativeElim)
-		ve.Add(r.VirtElim)
-		ns.Add(r.NativeSpeedup)
-		vs.Add(r.VirtSpeedup)
-		wi.Add(r.WalkInflation)
 	}
-	t.AddRow("Average", ne.Mean(), ve.Mean(), ns.Mean(), vs.Mean(), wi.Mean())
+	t.AddAverage("Average")
 	return "Extension: CoLT-All under virtualization (2D nested page walks)\n" +
 		"(elim = % of baseline L2 misses; speedup = modeled %; walk inflation = virt/native cycles per walk)\n" +
 		t.String()

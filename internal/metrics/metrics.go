@@ -58,80 +58,27 @@ type LevelStats struct {
 	TranslationsPerFill float64 `json:"translations_per_fill"`
 }
 
-// Hist is the stable serialization of a telemetry log2 histogram:
-// buckets[i] counts values with bit length i (bucket 0 is exactly
-// zero), with trailing zero buckets trimmed so small distributions
-// stay small on disk. All counts are integers, so a Hist is exactly
-// reproducible and golden-safe.
-type Hist struct {
-	Count   uint64   `json:"count"`
-	Sum     uint64   `json:"sum"`
-	Max     uint64   `json:"max"`
-	Buckets []uint64 `json:"buckets,omitempty"`
-}
-
-// HistFrom converts a telemetry histogram for embedding in a record.
-// Returns nil for a nil or empty histogram so untouched distributions
-// serialize as absent, not as zero-noise.
-func HistFrom(h *telemetry.Hist) *Hist {
-	if h == nil || h.Count == 0 {
-		return nil
-	}
-	last := -1
-	for i, b := range h.Buckets {
-		if b != 0 {
-			last = i
-		}
-	}
-	out := &Hist{Count: h.Count, Sum: h.Sum, Max: h.Max}
-	if last >= 0 {
-		out.Buckets = append([]uint64(nil), h.Buckets[:last+1]...)
-	}
-	return out
-}
-
-// Span is the golden-safe serialization of one phase span: simulated
-// time only (reference indices). Wall-clock phase durations live in
-// the timing sidecar (see PhaseTiming), never here.
-type Span struct {
-	Name     string `json:"name"`
-	StartRef uint64 `json:"start_ref"`
-	EndRef   uint64 `json:"end_ref"`
-}
-
-// SpansFrom converts telemetry spans for embedding in a record,
-// dropping the wall-clock component.
-func SpansFrom(spans []telemetry.Span) []Span {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make([]Span, len(spans))
-	for i, sp := range spans {
-		out[i] = Span{Name: sp.Name, StartRef: sp.StartRef, EndRef: sp.EndRef}
-	}
-	return out
-}
-
-// VariantHists bundles one TLB variant's distribution histograms.
+// VariantHists bundles one TLB variant's distribution histograms, each
+// a telemetry.Hist snapshot (see Hist.Snapshot and Hist.MarshalJSON).
 type VariantHists struct {
 	// CoalesceLen is the distribution of coalesced-run lengths over
 	// fills (1 = uncoalesced).
-	CoalesceLen *Hist `json:"coalesce_len,omitempty"`
+	CoalesceLen *telemetry.Hist `json:"coalesce_len,omitempty"`
 	// WalkCycles is the distribution of modeled page-walk latencies.
-	WalkCycles *Hist `json:"walk_cycles,omitempty"`
+	WalkCycles *telemetry.Hist `json:"walk_cycles,omitempty"`
 	// EntryLife is the distribution of TLB entry lifetimes, in
 	// references from fill to eviction.
-	EntryLife *Hist `json:"entry_lifetime,omitempty"`
+	EntryLife *telemetry.Hist `json:"entry_lifetime,omitempty"`
 }
 
 // RecordHists bundles the per-job (variant-independent) histograms.
 type RecordHists struct {
 	// ContigRun is the distribution of maximal contiguity-run lengths
 	// from the job's page-table scan (each run counts once).
-	ContigRun *Hist `json:"contig_run,omitempty"`
+	ContigRun *telemetry.Hist `json:"contig_run,omitempty"`
 	// WalkDepth is the distribution of page-walk depths in levels over
 	// the job's shared page table (4 = full walk, 3 = huge leaf).
-	WalkDepth *Hist `json:"walk_depth,omitempty"`
+	WalkDepth *telemetry.Hist `json:"walk_depth,omitempty"`
 }
 
 // Variant is one TLB configuration's measurements within a record.
@@ -188,11 +135,16 @@ type Contiguity struct {
 
 // TimelinePoint is one periodic page-table scan of a timeline record.
 type TimelinePoint struct {
-	RefsDone    int     `json:"refs_done"`
-	PageAvg     float64 `json:"page_avg"`
-	RunAvg      float64 `json:"run_avg"`
-	MappedPages int     `json:"mapped_pages"`
-	Superpages  int     `json:"superpages"`
+	// RefsDone is how many foreground references had executed.
+	RefsDone int `json:"refs_done"`
+	// PageAvg and RunAvg are the two contiguity averages.
+	PageAvg float64 `json:"page_avg"`
+	RunAvg  float64 `json:"run_avg"`
+	// MappedPages is the workload's resident page count (drops under
+	// swap pressure).
+	MappedPages int `json:"mapped_pages"`
+	// Superpages counts currently huge-mapped pages.
+	Superpages int `json:"superpages"`
 }
 
 // Record kinds.
@@ -216,8 +168,9 @@ type Record struct {
 	Variants     []Variant       `json:"variants,omitempty"`
 	Timeline     []TimelinePoint `json:"timeline,omitempty"`
 	// Spans are the job's phase spans in simulated time (absent unless
-	// the run enabled histograms/telemetry).
-	Spans []Span `json:"spans,omitempty"`
+	// the run enabled histograms/telemetry); their wall-clock durations
+	// go to the timing sidecar only.
+	Spans []telemetry.Span `json:"spans,omitempty"`
 	// Hists holds the job-level histograms (absent unless enabled).
 	Hists *RecordHists `json:"hists,omitempty"`
 }

@@ -177,46 +177,63 @@ func TestCollectorMergeAndTiming(t *testing.T) {
 	}
 }
 
-// TestHistFromTrimsAndConverts: the telemetry→metrics bridge drops
-// empty histograms (so omitempty elides them), trims trailing zero
-// buckets, and preserves the counters.
+// TestHistFrom: a record embeds a telemetry histogram's Snapshot,
+// which drops empty histograms (so omitempty elides them), and whose
+// JSON trims trailing zero buckets and preserves the counters.
 func TestHistFrom(t *testing.T) {
-	if HistFrom(nil) != nil {
-		t.Error("HistFrom(nil) != nil")
+	var none *telemetry.Hist
+	if none.Snapshot() != nil {
+		t.Error("Snapshot of a nil histogram != nil")
 	}
 	var empty telemetry.Hist
-	if HistFrom(&empty) != nil {
-		t.Error("HistFrom of an empty histogram != nil")
+	if empty.Snapshot() != nil {
+		t.Error("Snapshot of an empty histogram != nil")
 	}
 	var h telemetry.Hist
 	h.Observe(0)
 	h.Observe(5) // bucket bits.Len64(5) = 3
-	got := HistFrom(&h)
-	if got == nil || got.Count != 2 || got.Sum != 5 || got.Max != 5 {
-		t.Fatalf("HistFrom counters: %+v", got)
+	b, err := json.Marshal(RecordHists{ContigRun: h.Snapshot()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(got.Buckets) != 4 || got.Buckets[0] != 1 || got.Buckets[3] != 1 {
-		t.Errorf("HistFrom buckets not trimmed to last non-zero: %v", got.Buckets)
+	var got struct {
+		ContigRun *struct {
+			Count, Sum, Max uint64
+			Buckets         []uint64
+		} `json:"contig_run"`
+	}
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.ContigRun == nil || got.ContigRun.Count != 2 || got.ContigRun.Sum != 5 || got.ContigRun.Max != 5 {
+		t.Fatalf("snapshot counters: %s", b)
+	}
+	if len(got.ContigRun.Buckets) != 4 || got.ContigRun.Buckets[0] != 1 || got.ContigRun.Buckets[3] != 1 {
+		t.Errorf("snapshot buckets not trimmed to last non-zero: %v", got.ContigRun.Buckets)
 	}
 }
 
-// TestSpansFrom: the golden-safe span conversion keeps only simulated
-// time (reference indices) — wall-clock never reaches a Record.
+// TestSpansFrom: a record embeds telemetry spans whose JSON keeps only
+// simulated time (reference indices) — wall-clock never reaches it.
 func TestSpansFrom(t *testing.T) {
-	if SpansFrom(nil) != nil {
-		t.Error("SpansFrom(nil) != nil")
+	if b, err := json.Marshal(Record{}); err != nil || strings.Contains(string(b), "spans") {
+		t.Errorf("a record without spans encodes them: %s (%v)", b, err)
 	}
 	spans := []telemetry.Span{
 		{Name: "warmup", StartRef: 0, EndRef: 2000, Wall: 7 * time.Second},
 		{Name: "simulate", StartRef: 2000, EndRef: 22000, Wall: time.Minute},
 	}
-	got := SpansFrom(spans)
-	if len(got) != 2 || got[1].Name != "simulate" || got[1].StartRef != 2000 || got[1].EndRef != 22000 {
-		t.Fatalf("SpansFrom: %+v", got)
-	}
-	b, err := json.Marshal(got)
+	b, err := json.Marshal(Record{Spans: spans})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var got struct{ Spans []map[string]any }
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Spans) != 2 || got.Spans[1]["name"] != "simulate" ||
+		got.Spans[1]["start_ref"] != 2000.0 || got.Spans[1]["end_ref"] != 22000.0 {
+		t.Fatalf("span JSON: %s", b)
 	}
 	if strings.Contains(string(b), "wall") || strings.Contains(string(b), "Wall") {
 		t.Errorf("span JSON leaks wall-clock: %s", b)

@@ -91,32 +91,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (q in (0,1]) from the bucket
-// counts, attributing each bucket's mass to its upper bound — the
-// same upper-bound convention Prometheus's histogram_quantile uses,
-// without interpolation. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q*float64(total) + 0.5)
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
 // LatencyBuckets is the default upper-bound set for wall-clock
 // seconds histograms: 100µs to ~2min in roughly 3× steps, tight
 // enough at the bottom to resolve cache-hit serving and wide enough

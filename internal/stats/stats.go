@@ -161,23 +161,37 @@ func PercentEliminated(baseline, improved float64) float64 {
 type Table struct {
 	header []string
 	rows   [][]string
+	// cols summarizes each column's float64 cells, for AddAverage.
+	cols []Summary
 }
 
 // NewTable creates a table with the given column headers.
 func NewTable(header ...string) *Table {
-	return &Table{header: header}
+	return &Table{header: header, cols: make([]Summary, len(header))}
 }
 
-// AddRow appends a row; cells are formatted with %v.
+// AddRow appends a row; float64 cells are formatted with %.2f and
+// summarized per column, other cells with %v.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
 		case float64:
 			row[i] = fmt.Sprintf("%.2f", v)
+			t.cols[i].Add(v)
 		default:
 			row[i] = fmt.Sprintf("%v", c)
 		}
+	}
+	t.rows = append(t.rows, row)
+}
+
+// AddAverage appends a row of label followed by the mean of each later
+// column's float64 cells (0 for a column with none).
+func (t *Table) AddAverage(label string) {
+	row := []string{label}
+	for _, c := range t.cols[1:] {
+		row = append(row, fmt.Sprintf("%.2f", c.Mean()))
 	}
 	t.rows = append(t.rows, row)
 }

@@ -135,3 +135,16 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("table has %d lines, want 4:\n%s", len(lines), out)
 	}
 }
+
+// TestTableAverage: AddAverage appends the label and each later
+// column's mean over its float64 cells, as the renderers' Average row.
+func TestTableAverage(t *testing.T) {
+	tb := NewTable("Bench", "A", "B", "Note")
+	tb.AddRow("x", 1.0, 10.0, "n")
+	tb.AddRow("y", 2.0, -4.0, "m")
+	tb.AddAverage("Average")
+	lines := strings.Split(strings.TrimRight(tb.String(), "\n"), "\n")
+	if got := strings.Fields(lines[len(lines)-1]); strings.Join(got, " ") != "Average 1.50 3.00 0.00" {
+		t.Fatalf("average row = %q", got)
+	}
+}

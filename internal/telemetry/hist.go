@@ -1,6 +1,9 @@
 package telemetry
 
-import "math/bits"
+import (
+	"encoding/json"
+	"math/bits"
+)
 
 // HistBuckets is the fixed bucket count of a log2 histogram: bucket 0
 // holds v == 0 and bucket i (1..63) holds values with bit length i,
@@ -46,10 +49,29 @@ func (h *Hist) Merge(other *Hist) {
 	}
 }
 
-// Mean returns the average observed value, or 0 with no samples.
-func (h *Hist) Mean() float64 {
+// Snapshot returns a copy of h for embedding in a report, or nil for a
+// nil or empty histogram, so an untouched distribution serializes as
+// absent rather than as zero noise.
+func (h *Hist) Snapshot() *Hist {
 	if h == nil || h.Count == 0 {
-		return 0
+		return nil
 	}
-	return float64(h.Sum) / float64(h.Count)
+	c := *h
+	return &c
+}
+
+// MarshalJSON encodes the histogram with its trailing zero buckets
+// trimmed, so small distributions stay small on disk. All counts are
+// integers, so the encoding is exactly reproducible and golden-safe.
+func (h Hist) MarshalJSON() ([]byte, error) {
+	n := len(h.Buckets)
+	for n > 0 && h.Buckets[n-1] == 0 {
+		n--
+	}
+	return json.Marshal(struct {
+		Count   uint64   `json:"count"`
+		Sum     uint64   `json:"sum"`
+		Max     uint64   `json:"max"`
+		Buckets []uint64 `json:"buckets,omitempty"`
+	}{h.Count, h.Sum, h.Max, h.Buckets[:n]})
 }

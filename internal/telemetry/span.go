@@ -4,15 +4,16 @@ import "time"
 
 // Span is one named interval of a job measured in simulated time
 // (reference indices). StartRef/EndRef are golden-safe: they depend
-// only on the workload, never on the scheduler or the wall clock.
-// Wall is the wall-clock duration of the same interval and must never
-// reach a golden-diffed report; the metrics layer copies it only into
-// the non-golden .timing.json sidecar.
+// only on the workload, never on the scheduler or the wall clock, and
+// they are all a report record's JSON carries. Wall is the wall-clock
+// duration of the same interval and must never reach a golden-diffed
+// report; the metrics layer copies it only into the non-golden
+// .timing.json sidecar.
 type Span struct {
-	Name     string
-	StartRef uint64
-	EndRef   uint64
-	Wall     time.Duration
+	Name     string        `json:"name"`
+	StartRef uint64        `json:"start_ref"`
+	EndRef   uint64        `json:"end_ref"`
+	Wall     time.Duration `json:"-"`
 }
 
 // Spans records a job's phase spans. Begin/End are nil-safe so

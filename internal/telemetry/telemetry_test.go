@@ -20,7 +20,7 @@ func TestNilReceiversAreSafe(t *testing.T) {
 	var h *Hist
 	h.Observe(7)
 	h.Merge(&Hist{Count: 1})
-	if h.Mean() != 0 {
+	if h.Snapshot() != nil {
 		t.Fatal("nil hist must observe nothing")
 	}
 
@@ -162,6 +162,23 @@ func TestHistBucketsAndMerge(t *testing.T) {
 	m.Merge(&h)
 	if m.Count != 10 || m.Buckets[2] != 4 || m.Max != 1<<40 {
 		t.Fatalf("bad merge: count=%d b2=%d max=%d", m.Count, m.Buckets[2], m.Max)
+	}
+}
+
+// TestHistSnapshotJSON: a snapshot is a copy that later observations
+// leave alone, and its JSON trims the trailing zero buckets.
+func TestHistSnapshotJSON(t *testing.T) {
+	var h Hist
+	h.Observe(0)
+	h.Observe(5)
+	snap := h.Snapshot()
+	h.Observe(1 << 40)
+	b, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"count":2,"sum":5,"max":5,"buckets":[1,0,0,1]}`; string(b) != want {
+		t.Fatalf("snapshot JSON = %s, want %s", b, want)
 	}
 }
 
