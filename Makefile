@@ -34,12 +34,13 @@ test:
 # (TestParallelRecycledJobsIsolated). The telemetry determinism tests
 # ride along — TraceSet/Reporter are fed concurrently from all
 # workers. The serving daemon, its disk fault plane, the metrics
-# registry, the cluster layer's heartbeat loop, the cache package's
-# shared lane pools, and the OS model's pooled frame arrays, buddy
-# links and page-table nodes (mm, pagetable, vm) run whole.
+# registry, the cluster layer's heartbeat loop, the per-length slice
+# pools themselves (internal/pool), the cache package's shared lane
+# pools, and the OS model's pooled frame arrays, buddy links and
+# page-table nodes (mm, pagetable, vm) run whole.
 race:
 	$(GO) test -race ./internal/sched ./internal/experiments -run 'Parallel|GoldenHistograms|TraceEvents'
-	$(GO) test -race -count=1 ./internal/server ./internal/server/faultfs ./internal/obs ./internal/cluster ./internal/cache ./internal/mm ./internal/pagetable ./internal/vm
+	$(GO) test -race -count=1 ./internal/server ./internal/server/faultfs ./internal/obs ./internal/cluster ./internal/pool ./internal/cache ./internal/mm ./internal/pagetable ./internal/vm
 
 # Golden-run regression diff: re-runs the golden experiment subset and
 # byte-compares its metrics JSON against internal/experiments/testdata/
@@ -130,10 +131,11 @@ examples:
 # load generator with its coltload command, the TLB structures
 # (internal/core), the page walker (internal/mmu), the serving
 # layer's spec boundary (internal/server), the experiments CLI, the
-# scheduler (internal/sched), the front ends over the engine: the
-# colt package (.), coltsim, contig and replay, and the engine itself:
-# internal/experiments and its table and summary helpers
-# (internal/stats)) must meet its checked-in minimum.
+# scheduler (internal/sched), the per-job slice pools (internal/pool),
+# the front ends over the engine: the colt package (.), coltsim,
+# contig and replay, and the engine itself: internal/experiments and
+# its table and summary helpers (internal/stats)) must meet its
+# checked-in minimum.
 cover:
 	@set -e; \
 	while read -r pkg floor; do \

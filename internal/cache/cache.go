@@ -25,6 +25,8 @@
 // zero tag word and the fresh order the zero order word, and a level
 // takes its lanes from per-size pools (Release hands them back), so a
 // job's levels reuse the lanes of the job before and pay only a clear.
+// A variant's LLC under the shared front (front.go) skips even the
+// clear, because each of its sets is written whole before it is read.
 package cache
 
 import (
@@ -96,7 +98,8 @@ const (
 // each, cleared; a pool miss, or a length that is not a power of two,
 // allocates. Because the empty line is the zero tag word and the fresh
 // order the zero order word, whether a lane came from the pool never
-// changes what a level computes.
+// changes what a level computes. A front's variant LLCs take theirs
+// uncleared (see Front.NewVariant).
 var (
 	tagLanes   pool.Slices[uint32]
 	orderLanes pool.Slices[uint64]
@@ -134,7 +137,12 @@ type Cache struct {
 // New builds a cache level on top of next. Size must be a multiple of
 // ways × line size, the set count must be a power of two, and a set
 // has at most 16 ways.
-func New(cfg Config, next Level) *Cache {
+func New(cfg Config, next Level) *Cache { return newCache(cfg, next, true) }
+
+// newCache is New, with lanes that hold whatever their last level left
+// unless cleared is set: the caller then writes each set's tag words
+// and order word before any access reads them.
+func newCache(cfg Config, next Level, cleared bool) *Cache {
 	if next == nil {
 		panic("cache: nil next level")
 	}
@@ -153,9 +161,12 @@ func New(cfg Config, next Level) *Cache {
 		ways:     cfg.Ways,
 		top:      4 * uint(cfg.Ways-1),
 		hitLat:   cfg.HitLatency,
-		tags:     tagLanes.Get(linesTotal),
-		order:    orderLanes.Get(sets),
 		next:     next,
+	}
+	if cleared {
+		c.tags, c.order = tagLanes.Get(linesTotal), orderLanes.Get(sets)
+	} else {
+		c.tags, c.order = tagLanes.GetUncleared(linesTotal), orderLanes.GetUncleared(sets)
 	}
 	for i := range cfg.Ways {
 		c.ident |= uint64(i) << (4 * uint(i))
@@ -173,9 +184,9 @@ func New(cfg Config, next Level) *Cache {
 // its size. The level is unusable afterwards: its lanes are gone, so a
 // later Access panics (slicing the nil lane) instead of reading a lane
 // another level now owns. Stats stays readable, and a second Release
-// is a no-op.
+// is a no-op, as is releasing a nil level.
 func (c *Cache) Release() {
-	if c.tags == nil {
+	if c == nil || c.tags == nil {
 		return
 	}
 	tagLanes.Put(c.tags)
@@ -321,15 +332,16 @@ func (m *Memory) Access(arch.PAddr, bool) int {
 func (m *Memory) Accesses() uint64 { return m.accesses }
 
 // Hierarchy bundles the three-level configuration the paper simulates
-// (32 KB L1 / 256 KB L2 / 4 MB LLC, Intel Core i7-like).
+// (32 KB L1 / 256 KB L2 / 4 MB LLC, Intel Core i7-like). A variant's
+// hierarchy under a Front has only the LLC and its memory; the front
+// runs L1 and L2 (see Front.NewVariant).
 type Hierarchy struct {
 	L1  *Cache
 	L2  *Cache
 	LLC *Cache
 	Mem *Memory
 
-	// front is the Front this hierarchy is attached to, or nil (see
-	// (*Front).Attach).
+	// front is the Front this hierarchy is a variant of, or nil.
 	front *Front
 }
 
@@ -367,9 +379,8 @@ func (h *Hierarchy) DataAccess(addr arch.PAddr, write bool) int {
 }
 
 // WalkAccess services a page-walker PTE fetch, which enters at the LLC
-// (paper §4.1.1), and returns its latency. On a hierarchy attached to
-// a Front, the fetch first forks the set it lands in (see
-// (*Front).Attach).
+// (paper §4.1.1), and returns its latency. On a front's variant, the
+// fetch first forks the set it lands in (see front.go).
 func (h *Hierarchy) WalkAccess(addr arch.PAddr) int {
 	if h.front != nil {
 		h.front.fork(h.LLC.setOf(addr))

@@ -19,10 +19,12 @@ import "colt/internal/arch"
 // same order. So the Front also keeps one shared LLC for the sets no
 // walk has touched, and applies each recorded request there once. A
 // walker's first fetch into a set forks it: the shared set is copied
-// into every attached variant's LLC, and from then on the front's
-// requests to that set run on every variant's copy. Each variant's LLC
-// state and demand latencies are exactly those of a private LLC fed
-// the whole recording (DESIGN.md §10).
+// into every variant's LLC, and from then on the front's requests to
+// that set run on every variant's copy. Each variant's LLC state and
+// demand latencies are exactly those of a private LLC fed the whole
+// recording (DESIGN.md §10). A variant's LLC is therefore read only in
+// forked sets, each written whole by its fork first, so it takes its
+// lanes from the pools without the clear.
 
 // LLCEvent is one L2→LLC request captured by a Front: a demand fill
 // (Write false) or an eviction writeback (Write true).
@@ -47,12 +49,11 @@ type Front struct {
 	L1, L2 *Cache
 	rec    recorder
 
-	// llc holds every set no attached hierarchy's walk has touched;
-	// forked has bit s set once set s lives in the attached
-	// hierarchies' LLCs instead.
+	// llc holds every set no variant's walk has touched; forked has
+	// bit s set once set s lives in the variants' LLCs instead.
 	llc      *Cache
 	forked   []uint64
-	attached []*Hierarchy
+	variants []*Hierarchy
 }
 
 // NewFront builds the paper-configured L1 and L2 over a recording
@@ -66,41 +67,52 @@ func NewFront() *Front {
 	return f
 }
 
-// Release returns the front's levels' lanes, the shared LLC's
-// included, to the pools (see (*Cache).Release); the front is unusable
-// afterwards. Attached hierarchies are released by their owners.
+// Release returns the lanes of the front's levels, the shared LLC and
+// every variant's LLC to the pools (see (*Cache).Release); the front
+// and its variants are unusable afterwards.
 func (f *Front) Release() {
 	f.L1.Release()
 	f.L2.Release()
 	f.llc.Release()
+	for _, h := range f.variants {
+		h.Release()
+	}
 }
 
-// Attach registers h, a fresh hierarchy of the paper's geometry, as
-// one variant of this front, before the front's first Access. From
-// then on h's walk fetches fork the set they touch (see the file
-// comment), and Access reports h's per-reference latency in the slot
-// of lats matching its attach order. h's L1 and L2 are not used. Its
-// LLC holds only the forked sets, so after Attach h.LLC.Stats() and
-// h.Mem.Accesses() count only the traffic to forked sets.
-func (f *Front) Attach(h *Hierarchy) {
-	if h.front != nil || h.LLC.sets != f.llc.sets || h.LLC.ways != f.llc.ways {
-		panic("cache: Attach needs a fresh hierarchy of the front's LLC geometry")
+// NewVariant builds one TLB variant's hierarchy under this front,
+// before the front's first Access: an LLC of the paper's geometry over
+// its own memory, with no L1 or L2 (the front runs those). Its walk
+// fetches fork the set they touch (see the file comment), and Access
+// reports its per-reference latency in the slot of lats matching its
+// creation order. Its LLC holds only the forked sets, so
+// h.LLC.Stats() and h.Mem.Accesses() count only the traffic to them.
+// The LLC's lanes come from the pools uncleared: a fork writes a set's
+// tag words and order word before anything reads that set. So
+// NewVariant panics once a set has forked, which the new LLC would have
+// missed.
+func (f *Front) NewVariant() *Hierarchy {
+	for _, w := range f.forked {
+		if w != 0 {
+			panic("cache: NewVariant after a walk forked a set")
+		}
 	}
-	h.front = f
-	f.attached = append(f.attached, h)
+	mem := &Memory{Latency: memLatency}
+	h := &Hierarchy{LLC: newCache(llcConfig(), mem, false), Mem: mem, front: f}
+	f.variants = append(f.variants, h)
+	return h
 }
 
 // isForked reports whether set s has left the shared LLC.
 func (f *Front) isForked(s int) bool { return f.forked[s>>6]&(1<<(s&63)) != 0 }
 
 // fork moves set s out of the shared LLC, if it is still there, by
-// copying it into every attached hierarchy's LLC.
+// copying it into every variant's LLC.
 func (f *Front) fork(s int) {
 	if f.isForked(s) {
 		return
 	}
 	f.forked[s>>6] |= 1 << (s & 63)
-	for _, h := range f.attached {
+	for _, h := range f.variants {
 		h.LLC.copySet(f.llc, s)
 	}
 }
@@ -123,14 +135,13 @@ func (f *Front) DataAccess(addr arch.PAddr, write bool) (lat int, events []LLCEv
 	return lat, events, demandMiss
 }
 
-// Access services one demand reference for every attached hierarchy:
-// it runs DataAccess, then applies the recorded LLC-bound requests in
-// order. A request to a set no walk has forked runs once, on the
-// shared LLC; a request to a forked set runs on every attached LLC.
-// lats[i] receives the reference's total latency for the i-th attached
-// hierarchy; lats must have one slot per attached hierarchy. Within a
-// reference, every walk must come before Access, as each variant's
-// translation does.
+// Access services one demand reference for every variant: it runs
+// DataAccess, then applies the recorded LLC-bound requests in order. A
+// request to a set no walk has forked runs once, on the shared LLC; a
+// request to a forked set runs on every variant's LLC. lats[i]
+// receives the reference's total latency for the i-th variant; lats
+// must have one slot per variant. Within a reference, every walk must
+// come before Access, as each variant's translation does.
 func (f *Front) Access(addr arch.PAddr, write bool, lats []int) {
 	lat, events, demand := f.DataAccess(addr, write)
 	for i := range lats {
@@ -149,7 +160,7 @@ func (f *Front) Access(addr arch.PAddr, write bool, lats []int) {
 			}
 			continue
 		}
-		for i, h := range f.attached {
+		for i, h := range f.variants {
 			l := h.LLC.Access(e.Addr, e.Write)
 			if onPath {
 				lats[i] += l

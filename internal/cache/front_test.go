@@ -97,33 +97,60 @@ func (m *privateModel) access(addr arch.PAddr, write bool, lats []int) {
 	}
 }
 
-// TestSharedLLCMatchesPrivateLLCs runs a front with four attached
-// hierarchies beside four private hierarchies fed the same recorded
-// requests, over seeded streams, and requires every walk latency and
-// every variant's per-reference latency to match, step by step. At the
-// end each variant's LLC — its forked sets from its own LLC, the rest
-// from the shared one — must hold exactly the private LLC's lines,
-// dirty bits and recency orders.
+// poisonLanes fills n pooled lanes of each of the paper LLC's lengths
+// with non-zero garbage and hands them back, so a variant LLC built
+// next takes lanes whose every tag word and order word is wrong until
+// a fork writes its set. The tag words hold tags 0–63, which the
+// streams below use, half of them dirty, so a read before the fork
+// would hit stale lines; the order words are random, most of them not
+// even a permutation of the ways. Under -race the pool drops some at
+// random.
+func poisonLanes(seed int64, n int) {
+	r := rand.New(rand.NewSource(seed))
+	tags, order := make([][]uint32, n), make([][]uint64, n)
+	for i := range n {
+		tags[i], order[i] = tagLanes.Get(llcLines), orderLanes.Get(llcSets)
+		for j := range tags[i] {
+			tags[i][j] = uint32(1+r.Intn(64)) | uint32(r.Intn(2))<<31
+		}
+		for j := range order[i] {
+			order[i][j] = r.Uint64() | 1
+		}
+	}
+	for i := range n {
+		tagLanes.Put(tags[i])
+		orderLanes.Put(order[i])
+	}
+}
+
+// TestSharedLLCMatchesPrivateLLCs runs a front with four variants
+// beside four private hierarchies fed the same recorded requests, over
+// seeded streams, and requires every walk latency and every variant's
+// per-reference latency to match, step by step. The variants' LLCs
+// are built on poisoned pooled lanes, which NewVariant does not clear.
+// At the end each variant's LLC — its forked sets from its own LLC,
+// the rest from the shared one — must hold exactly the private LLC's
+// lines, dirty bits and recency orders.
 func TestSharedLLCMatchesPrivateLLCs(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			const n = 60000
 			stream := sharedStream(seed, n)
-			front := NewFront()
 			ref := &privateModel{front: NewFront()}
+			for range sharedVariants {
+				ref.hs = append(ref.hs, DefaultHierarchy())
+			}
+			poisonLanes(seed, sharedVariants+1)
+			front := NewFront()
 			var shared []*Hierarchy
 			for range sharedVariants {
-				h := DefaultHierarchy()
-				front.Attach(h)
-				shared = append(shared, h)
-				ref.hs = append(ref.hs, DefaultHierarchy())
+				shared = append(shared, front.NewVariant())
 			}
 			defer func() {
 				front.Release()
 				ref.front.Release()
-				for i := range shared {
-					shared[i].Release()
-					ref.hs[i].Release()
+				for _, h := range ref.hs {
+					h.Release()
 				}
 			}()
 			lats := make([]int, sharedVariants)
@@ -212,24 +239,21 @@ func sameSet(a, b *Cache, s int) bool {
 	return a.order[s] == b.order[s]
 }
 
-// TestAttachRefusesMismatchedHierarchy pins Attach's guard: a
-// hierarchy is attached at most once, and only with the front's LLC
-// geometry.
-func TestAttachRefusesMismatchedHierarchy(t *testing.T) {
+// TestNewVariantAfterForkPanics pins NewVariant's guard: data accesses
+// leave the front open to new variants, but once a walk has forked a
+// set, a new variant's uncleared LLC would lack it, so NewVariant
+// panics.
+func TestNewVariantAfterForkPanics(t *testing.T) {
 	f := NewFront()
 	defer f.Release()
-	h := DefaultHierarchy()
-	f.Attach(h)
-	mem := &Memory{Latency: memLatency}
-	small := &Hierarchy{LLC: New(Config{Name: "LLC", SizeBytes: 1 << 20, Ways: 16, HitLatency: 30}, mem), Mem: mem}
-	for name, bad := range map[string]*Hierarchy{"twice": h, "geometry": small} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Attach did not panic", name)
-				}
-			}()
-			f.Attach(bad)
-		}()
-	}
+	h := f.NewVariant()
+	f.Access(0, true, make([]int, 1))
+	f.NewVariant()
+	h.WalkAccess(ptLine(0, 2000, firstForkSet))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewVariant after a fork did not panic")
+		}
+	}()
+	f.NewVariant()
 }

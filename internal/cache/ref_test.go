@@ -222,14 +222,16 @@ func TestReleasedLevelPanics(t *testing.T) {
 	c.Access(0, false)
 }
 
-// hierarchyDigest builds the paper's front with one attached
-// hierarchy, drives a seeded stream of data accesses through the front
-// plus page-walker fetches that fork the shared LLC's sets, releases
-// both, and returns every level's statistics and the summed latency.
+// hierarchyDigest poisons two pooled LLC lanes, builds the paper's
+// front with one variant, drives a seeded stream of data accesses
+// through the front plus page-walker fetches that fork the shared
+// LLC's sets, releases the front, and returns every level's statistics
+// and the summed latency.
 func hierarchyDigest(seed int64) [6]Stats {
 	r := rand.New(rand.NewSource(seed))
-	front, h := NewFront(), DefaultHierarchy()
-	front.Attach(h)
+	poisonLanes(seed, 2)
+	front := NewFront()
+	h := front.NewVariant()
 	lats := make([]int, 1)
 	var total uint64
 	for i := 0; i < 30000; i++ {
@@ -243,7 +245,6 @@ func hierarchyDigest(seed int64) [6]Stats {
 	}
 	d := [6]Stats{front.L1.Stats(), front.L2.Stats(), front.llc.Stats(), h.LLC.Stats(), {Accesses: total}, {Accesses: h.Mem.Accesses()}}
 	front.Release()
-	h.Release()
 	return d
 }
 

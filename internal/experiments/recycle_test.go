@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
+	"colt/internal/arch"
+	"colt/internal/cache"
 	"colt/internal/metrics"
 	"colt/internal/workload"
 )
@@ -56,6 +59,48 @@ func TestRecycledJobMatchesFresh(t *testing.T) {
 	}
 	if !bytes.Equal(fresh, reused) {
 		t.Fatalf("recycled job differs from the fresh one:\n%s", strings.Join(metrics.Diff(reused, fresh), "\n"))
+	}
+}
+
+// poisonCacheLanes fills n levels of the paper LLC's geometry with
+// dirty lines from all over a recycleFrames machine's memory and
+// releases them, so the next levels of that size take lanes whose tag
+// words name lines a job on that machine touches, and whose order
+// words are scrambled. (Lines above the machine's memory would be no
+// poison: LRU evicts a line nobody touches before any line a job
+// brought in, just as it fills an empty way first.)
+func poisonCacheLanes(n int) {
+	r := rand.New(rand.NewSource(int64(n)))
+	levels := make([]*cache.Cache, n)
+	for i := range levels {
+		levels[i] = cache.New(cache.Config{Name: "poison", SizeBytes: 4 << 20, Ways: 16, HitLatency: 1}, &cache.Memory{})
+		for range 4 * 65536 {
+			levels[i].Access(arch.PAddr(r.Int63n(recycleFrames*arch.PageSize)), true)
+		}
+	}
+	for _, c := range levels {
+		c.Release()
+	}
+}
+
+// TestPoisonedCacheLanesMatchFresh pins the front's uncleared variant
+// LLCs as exact: a job whose variants' LLC lanes come from the pools
+// full of stale dirty lines renders the same bytes as the same job
+// before the poisoning. A variant that read one of its LLC's sets
+// before a fork wrote it would hit on those lines.
+func TestPoisonedCacheLanesMatchFresh(t *testing.T) {
+	fresh, err := recycleJob("Gobmk", 0xC017)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A job takes one LLC lane per variant plus the front's shared one.
+	poisonCacheLanes(len(StandardVariants()) + 2)
+	poisoned, err := recycleJob("Gobmk", 0xC017)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh, poisoned) {
+		t.Fatalf("job on poisoned cache lanes differs from the fresh one:\n%s", strings.Join(metrics.Diff(poisoned, fresh), "\n"))
 	}
 }
 

@@ -466,15 +466,14 @@ func contigRecord(bench string, setup SystemSetup, seed uint64, res contig.Resul
 	}
 }
 
-// simulator bundles one TLB variant's private state: its TLB hierarchy,
-// walker (with MMU cache), and cache hierarchy. The hierarchy is
-// attached to the job's front, which holds each of its LLC sets until
-// a walk forks them.
+// simulator bundles one TLB variant's private state: its TLB hierarchy
+// and walker (with MMU cache). The walker fetches through the variant's
+// LLC, which the job's front built and which holds only the sets a
+// walk has forked.
 type simulator struct {
 	name     string
 	hier     *core.Hierarchy
 	walker   *mmu.Walker
-	caches   *cache.Hierarchy
 	memStall uint64
 	pid      int
 	// tel is this variant's telemetry sink (nil when telemetry is
@@ -710,11 +709,11 @@ type benchSim struct {
 	// Every variant translates the same reference stream to the same
 	// physical addresses (the page table is common; step checks the
 	// translations agree), so the L1/L2 state evolution is identical
-	// across variants and is simulated once per reference. Every
-	// variant's cache hierarchy is attached to it: an LLC set lives in
-	// the shared LLC until some variant's walk touches it, and in the
-	// variants' private LLCs after. lats receives each variant's
-	// per-reference data latency from the front.
+	// across variants and is simulated once per reference. The front
+	// builds every variant's LLC: an LLC set lives in the shared LLC
+	// until some variant's walk touches it, and in the variants' private
+	// LLCs after. lats receives each variant's per-reference data
+	// latency from the front.
 	front *cache.Front
 	lats  []int
 }
@@ -763,14 +762,11 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 		proc.Table.SetWalkDepthHist(&b.walkDepth)
 	}
 	for i, v := range variants {
-		caches := cache.DefaultHierarchy()
-		b.front.Attach(caches)
-		walker := mmu.NewWalker(proc.Table, caches, mmu.NewWalkCache(mmu.DefaultWalkCacheEntries))
+		walker := mmu.NewWalker(proc.Table, b.front.NewVariant(), mmu.NewWalkCache(mmu.DefaultWalkCacheEntries))
 		b.sims[i] = &simulator{
 			name:   v.Name,
 			hier:   core.NewHierarchy(v.Config, walker),
 			walker: walker,
-			caches: caches,
 			pid:    proc.PID,
 		}
 		if telemetryOn {
@@ -784,15 +780,11 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 	return b, master, nil
 }
 
-// release hands every variant's cache hierarchy, the shared front and
-// the OS model (frame arrays, buddy links, page-table nodes) back to
-// their pools, so the next job reuses them; b must not step
-// afterwards.
+// release hands the front with every variant's LLC and the OS model
+// (frame arrays, buddy links, page-table nodes) back to their pools,
+// so the next job reuses them; b must not step afterwards.
 func (b *benchSim) release() {
 	b.front.Release()
-	for _, s := range b.sims {
-		s.caches.Release()
-	}
 	b.sys.Release()
 }
 

@@ -9,7 +9,10 @@
 // options and seed — records are sorted by (kind, bench, setup) before
 // serialization, worker count is deliberately excluded from the options
 // snapshot, and wall-clock timing lives in a separate, non-golden
-// timing report. Emitted JSON never contains Inf or NaN: ratio
+// timing report. Keys are sorted because every struct a report encodes,
+// telemetry's Span and Hist included, declares its fields in JSON-key
+// order: declaration order is key order, so a new field goes where its
+// key sorts. Emitted JSON never contains Inf or NaN: ratio
 // computations go through Ratio, and StableJSON re-checks every float
 // field.
 package metrics
@@ -42,17 +45,17 @@ func Ratio(num, den float64) float64 {
 // LevelStats is one TLB structure's counters (set-associative L1/L2 or
 // the fully-associative superpage TLB).
 type LevelStats struct {
-	Lookups     uint64 `json:"lookups"`
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Fills       uint64 `json:"fills"`
 	CoalescedIn uint64 `json:"coalesced_in"`
 	Evictions   uint64 `json:"evictions"`
+	Fills       uint64 `json:"fills"`
+	// HitRate is Hits/Lookups (0 for zero-lookup runs).
+	HitRate float64 `json:"hit_rate"`
+	Hits    uint64  `json:"hits"`
+	Lookups uint64  `json:"lookups"`
 	// Merges counts fill-time coalescings with resident entries
 	// (superpage TLB only; zero elsewhere).
 	Merges uint64 `json:"merges"`
-	// HitRate is Hits/Lookups (0 for zero-lookup runs).
-	HitRate float64 `json:"hit_rate"`
+	Misses uint64 `json:"misses"`
 	// TranslationsPerFill is the structure's reach amplification:
 	// (Fills+CoalescedIn)/Fills (0 for zero-fill runs).
 	TranslationsPerFill float64 `json:"translations_per_fill"`
@@ -64,11 +67,11 @@ type VariantHists struct {
 	// CoalesceLen is the distribution of coalesced-run lengths over
 	// fills (1 = uncoalesced).
 	CoalesceLen *telemetry.Hist `json:"coalesce_len,omitempty"`
-	// WalkCycles is the distribution of modeled page-walk latencies.
-	WalkCycles *telemetry.Hist `json:"walk_cycles,omitempty"`
 	// EntryLife is the distribution of TLB entry lifetimes, in
 	// references from fill to eviction.
 	EntryLife *telemetry.Hist `json:"entry_lifetime,omitempty"`
+	// WalkCycles is the distribution of modeled page-walk latencies.
+	WalkCycles *telemetry.Hist `json:"walk_cycles,omitempty"`
 }
 
 // RecordHists bundles the per-job (variant-independent) histograms.
@@ -81,68 +84,63 @@ type RecordHists struct {
 	WalkDepth *telemetry.Hist `json:"walk_depth,omitempty"`
 }
 
-// Variant is one TLB configuration's measurements within a record.
+// Variant is one TLB configuration's measurements within a record:
+// hierarchy-level counters (accesses, misses, walks, faults, walk
+// cycles, coalesced fills), per-structure counters (l1, l2, sup),
+// derived rates (MPMI and miss rates, all zero-guarded) and the
+// performance model (stall and model cycles, speedup).
 type Variant struct {
-	Name   string `json:"name"`
-	Policy string `json:"policy"`
-
-	// Hierarchy-level counters.
 	Accesses       uint64 `json:"accesses"`
-	L1Misses       uint64 `json:"l1_misses"`
-	L2Misses       uint64 `json:"l2_misses"`
-	Walks          uint64 `json:"walks"`
-	Faults         uint64 `json:"faults"`
-	WalkCycles     uint64 `json:"walk_cycles"`
 	CoalescedFills uint64 `json:"coalesced_fills"`
-
-	// Per-structure counters.
-	L1  LevelStats `json:"l1"`
-	L2  LevelStats `json:"l2"`
-	Sup LevelStats `json:"sup"`
-
-	// Derived rates (all zero-guarded).
-	L1MPMI     float64 `json:"l1_mpmi"`
-	L2MPMI     float64 `json:"l2_mpmi"`
-	L1MissRate float64 `json:"l1_miss_rate"`
-	L2MissRate float64 `json:"l2_miss_rate"`
-
-	// Performance model.
-	MemStallCycles uint64  `json:"mem_stall_cycles"`
-	ModelCycles    float64 `json:"model_cycles"`
+	Faults         uint64 `json:"faults"`
+	// Hists holds the variant's distribution histograms (absent unless
+	// the run enabled histograms, keeping pre-histogram goldens
+	// byte-identical).
+	Hists          *VariantHists `json:"hists,omitempty"`
+	L1             LevelStats    `json:"l1"`
+	L1MissRate     float64       `json:"l1_miss_rate"`
+	L1Misses       uint64        `json:"l1_misses"`
+	L1MPMI         float64       `json:"l1_mpmi"`
+	L2             LevelStats    `json:"l2"`
+	L2MissRate     float64       `json:"l2_miss_rate"`
+	L2Misses       uint64        `json:"l2_misses"`
+	L2MPMI         float64       `json:"l2_mpmi"`
+	MemStallCycles uint64        `json:"mem_stall_cycles"`
+	ModelCycles    float64       `json:"model_cycles"`
+	Name           string        `json:"name"`
+	Policy         string        `json:"policy"`
 	// SpeedupPct is the modeled speedup over the record's baseline
 	// (first) variant; 0 for the baseline itself.
 	SpeedupPct float64 `json:"speedup_pct"`
 	// SubblockRejectedPct is the share of a partial-subblock TLB's
 	// fills that met an entry for their block but could not share it
 	// (absent for every other policy).
-	SubblockRejectedPct float64 `json:"subblock_rejected_pct,omitempty"`
-
-	// Hists holds the variant's distribution histograms (absent unless
-	// the run enabled histograms, keeping pre-histogram goldens
-	// byte-identical).
-	Hists *VariantHists `json:"hists,omitempty"`
+	SubblockRejectedPct float64    `json:"subblock_rejected_pct,omitempty"`
+	Sup                 LevelStats `json:"sup"`
+	WalkCycles          uint64     `json:"walk_cycles"`
+	Walks               uint64     `json:"walks"`
 }
 
 // Contiguity is one page-table scan's summary.
 type Contiguity struct {
+	FracOver512   float64 `json:"frac_over_512"`
+	MaxRun        int     `json:"max_run"`
+	NonSuperPages int     `json:"non_super_pages"`
 	PageAvg       float64 `json:"page_avg"`
 	RunAvg        float64 `json:"run_avg"`
 	SuperPages    int     `json:"super_pages"`
-	NonSuperPages int     `json:"non_super_pages"`
-	MaxRun        int     `json:"max_run"`
-	FracOver512   float64 `json:"frac_over_512"`
 }
 
 // TimelinePoint is one periodic page-table scan of a timeline record.
 type TimelinePoint struct {
-	// RefsDone is how many foreground references had executed.
-	RefsDone int `json:"refs_done"`
-	// PageAvg and RunAvg are the two contiguity averages.
-	PageAvg float64 `json:"page_avg"`
-	RunAvg  float64 `json:"run_avg"`
 	// MappedPages is the workload's resident page count (drops under
 	// swap pressure).
 	MappedPages int `json:"mapped_pages"`
+	// PageAvg and RunAvg (below) are the two contiguity averages.
+	PageAvg float64 `json:"page_avg"`
+	// RefsDone is how many foreground references had executed.
+	RefsDone int     `json:"refs_done"`
+	RunAvg   float64 `json:"run_avg"`
 	// Superpages counts currently huge-mapped pages.
 	Superpages int `json:"superpages"`
 }
@@ -156,23 +154,23 @@ const (
 
 // Record is one (benchmark × setup) job's structured result.
 type Record struct {
-	Kind  string `json:"kind"`
-	Bench string `json:"bench"`
-	Setup string `json:"setup"`
+	Bench  string      `json:"bench"`
+	Contig *Contiguity `json:"contiguity,omitempty"`
+	// Hists holds the job-level histograms (absent unless enabled).
+	Hists        *RecordHists `json:"hists,omitempty"`
+	Instructions uint64       `json:"instructions,omitempty"`
+	Kind         string       `json:"kind"`
 	// Seed is the job's derived master seed — a pure function of
 	// (run seed, bench, setup), recorded so any single job can be
 	// reproduced in isolation.
-	Seed         uint64          `json:"seed"`
-	Instructions uint64          `json:"instructions,omitempty"`
-	Contig       *Contiguity     `json:"contiguity,omitempty"`
-	Variants     []Variant       `json:"variants,omitempty"`
-	Timeline     []TimelinePoint `json:"timeline,omitempty"`
+	Seed  uint64 `json:"seed"`
+	Setup string `json:"setup"`
 	// Spans are the job's phase spans in simulated time (absent unless
 	// the run enabled histograms/telemetry); their wall-clock durations
 	// go to the timing sidecar only.
-	Spans []telemetry.Span `json:"spans,omitempty"`
-	// Hists holds the job-level histograms (absent unless enabled).
-	Hists *RecordHists `json:"hists,omitempty"`
+	Spans    []telemetry.Span `json:"spans,omitempty"`
+	Timeline []TimelinePoint  `json:"timeline,omitempty"`
+	Variants []Variant        `json:"variants,omitempty"`
 }
 
 // Failure is one (benchmark × setup) job that produced no record:
@@ -181,23 +179,23 @@ type Record struct {
 // deterministic functions of the run's seed and fault spec — so a
 // degraded run is still byte-identical across parallel widths.
 type Failure struct {
-	Kind  string `json:"kind"`
-	Bench string `json:"bench"`
-	Setup string `json:"setup"`
 	// Attempts is how many times the job ran (1 = no retries).
 	Attempts int    `json:"attempts"`
-	Error    string `json:"error"`
-	// Injected marks failures caused by the fault-injection plane.
-	Injected bool `json:"injected"`
-	// TimedOut marks per-job timeout kills. Timeouts are wall-clock
-	// events; runs that must stay deterministic use bounds generous
-	// enough that this only fires on hangs.
-	TimedOut bool `json:"timed_out,omitempty"`
+	Bench    string `json:"bench"`
 	// Canceled marks jobs skipped or aborted because the run's context
 	// was canceled (SIGINT on the CLI, DELETE or drain on the daemon).
 	// Like timeouts, cancellation is a wall-clock event and only
 	// appears in interrupted runs, never in goldens.
-	Canceled bool `json:"canceled,omitempty"`
+	Canceled bool   `json:"canceled,omitempty"`
+	Error    string `json:"error"`
+	// Injected marks failures caused by the fault-injection plane.
+	Injected bool   `json:"injected"`
+	Kind     string `json:"kind"`
+	Setup    string `json:"setup"`
+	// TimedOut marks per-job timeout kills. Timeouts are wall-clock
+	// events; runs that must stay deterministic use bounds generous
+	// enough that this only fires on hangs.
+	TimedOut bool `json:"timed_out,omitempty"`
 }
 
 // failureKey orders failures like records: by identity, then content.
@@ -210,33 +208,35 @@ func failureKey(f Failure) string {
 // never a results knob, and reports must be byte-identical across
 // -parallel widths.
 type Options struct {
-	Frames      int     `json:"frames"`
-	Scale       float64 `json:"scale"`
-	ColdScale   float64 `json:"cold_scale"`
-	ChurnOps    int     `json:"churn_ops"`
-	Warmup      int     `json:"warmup"`
-	Refs        int     `json:"refs"`
-	Seed        uint64  `json:"seed"`
-	MidRunChurn bool    `json:"mid_run_churn"`
+	ChurnOps  int     `json:"churn_ops"`
+	ColdScale float64 `json:"cold_scale"`
 	// FaultSpec is the canonical fault-injection spec ("" when faults
 	// are disabled, which keeps faultless reports byte-identical to
 	// pre-fault goldens).
 	FaultSpec string `json:"fault_spec,omitempty"`
+	Frames    int    `json:"frames"`
 	// Histograms records that the run embedded telemetry histograms
 	// and spans in its records (omitted when off, which keeps
 	// histogram-less reports byte-identical to older goldens).
-	Histograms bool `json:"histograms,omitempty"`
+	Histograms  bool    `json:"histograms,omitempty"`
+	MidRunChurn bool    `json:"mid_run_churn"`
+	Refs        int     `json:"refs"`
+	Scale       float64 `json:"scale"`
+	Seed        uint64  `json:"seed"`
+	Warmup      int     `json:"warmup"`
 }
 
-// Report is one experiment's full machine-readable result.
+// Report is one experiment's full machine-readable result. Every
+// struct it encodes declares its fields in ascending JSON-key order,
+// so encoding/json writes sorted keys directly (see StableJSON).
 type Report struct {
-	Schema     string   `json:"schema"`
-	Experiment string   `json:"experiment"`
-	Options    Options  `json:"options"`
-	Records    []Record `json:"records"`
+	Experiment string `json:"experiment"`
 	// Failures lists jobs that produced no record (absent when every
 	// job succeeded, so faultless goldens are unchanged).
 	Failures []Failure `json:"failures,omitempty"`
+	Options  Options   `json:"options"`
+	Records  []Record  `json:"records"`
+	Schema   string    `json:"schema"`
 }
 
 // recordKey orders records deterministically regardless of the
@@ -247,7 +247,10 @@ func recordKey(r Record) string {
 
 // StableJSON serializes the report as indented JSON with keys sorted at
 // every nesting level, suitable for byte-comparison against goldens.
-// It fails if any float field is Inf or NaN, naming the field.
+// Every struct a report encodes declares its fields in ascending
+// JSON-key order (TestReportKeysDeclaredSorted guards this), so one
+// MarshalIndent writes the sorted keys. It fails if any float field is
+// Inf or NaN, naming the field.
 func (r *Report) StableJSON() ([]byte, error) {
 	if r.Records == nil {
 		r.Records = []Record{}
@@ -255,77 +258,88 @@ func (r *Report) StableJSON() ([]byte, error) {
 	if err := r.CheckFinite(); err != nil {
 		return nil, err
 	}
-	raw, err := json.Marshal(r)
+	out, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("metrics: encoding report: %w", err)
-	}
-	// Round-trip through an untyped tree: encoding/json sorts map keys
-	// on marshal, and json.Number preserves numeric literals exactly.
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var tree any
-	if err := dec.Decode(&tree); err != nil {
-		return nil, fmt.Errorf("metrics: normalizing report: %w", err)
-	}
-	out, err := json.MarshalIndent(tree, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("metrics: re-encoding report: %w", err)
 	}
 	return append(out, '\n'), nil
 }
 
 // CheckFinite walks every float in the report and returns an error
 // naming the first Inf/NaN field, so a division-guard regression is
-// reported precisely instead of as an opaque marshal failure.
+// reported precisely instead of as an opaque marshal failure. Within a
+// record it checks the contiguity, then the variants in order, then
+// the timeline points; within each it reports the first non-finite
+// field by name.
 func (r *Report) CheckFinite() error {
 	for i := range r.Records {
 		rec := &r.Records[i]
-		at := fmt.Sprintf("records[%s/%s/%s]", rec.Kind, rec.Bench, rec.Setup)
 		if c := rec.Contig; c != nil {
-			if err := checkFinite(at+".contiguity", map[string]float64{
-				"page_avg": c.PageAvg, "run_avg": c.RunAvg, "frac_over_512": c.FracOver512,
-			}); err != nil {
-				return err
+			if f, bad := firstNonFinite(
+				namedFloat{"frac_over_512", c.FracOver512},
+				namedFloat{"page_avg", c.PageAvg},
+				namedFloat{"run_avg", c.RunAvg},
+			); bad {
+				return f.err(recordLabel(rec) + ".contiguity")
 			}
 		}
 		for j := range rec.Variants {
 			v := &rec.Variants[j]
-			if err := checkFinite(fmt.Sprintf("%s.variants[%s]", at, v.Name), map[string]float64{
-				"l1_mpmi": v.L1MPMI, "l2_mpmi": v.L2MPMI,
-				"l1_miss_rate": v.L1MissRate, "l2_miss_rate": v.L2MissRate,
-				"model_cycles": v.ModelCycles, "speedup_pct": v.SpeedupPct,
-				"l1.hit_rate": v.L1.HitRate, "l2.hit_rate": v.L2.HitRate, "sup.hit_rate": v.Sup.HitRate,
-				"l1.translations_per_fill":  v.L1.TranslationsPerFill,
-				"l2.translations_per_fill":  v.L2.TranslationsPerFill,
-				"sup.translations_per_fill": v.Sup.TranslationsPerFill,
-				"subblock_rejected_pct":     v.SubblockRejectedPct,
-			}); err != nil {
-				return err
+			if f, bad := firstNonFinite(
+				namedFloat{"l1.hit_rate", v.L1.HitRate},
+				namedFloat{"l1.translations_per_fill", v.L1.TranslationsPerFill},
+				namedFloat{"l1_miss_rate", v.L1MissRate},
+				namedFloat{"l1_mpmi", v.L1MPMI},
+				namedFloat{"l2.hit_rate", v.L2.HitRate},
+				namedFloat{"l2.translations_per_fill", v.L2.TranslationsPerFill},
+				namedFloat{"l2_miss_rate", v.L2MissRate},
+				namedFloat{"l2_mpmi", v.L2MPMI},
+				namedFloat{"model_cycles", v.ModelCycles},
+				namedFloat{"speedup_pct", v.SpeedupPct},
+				namedFloat{"subblock_rejected_pct", v.SubblockRejectedPct},
+				namedFloat{"sup.hit_rate", v.Sup.HitRate},
+				namedFloat{"sup.translations_per_fill", v.Sup.TranslationsPerFill},
+			); bad {
+				return f.err(fmt.Sprintf("%s.variants[%s]", recordLabel(rec), v.Name))
 			}
 		}
 		for j, p := range rec.Timeline {
-			if err := checkFinite(fmt.Sprintf("%s.timeline[%d]", at, j), map[string]float64{
-				"page_avg": p.PageAvg, "run_avg": p.RunAvg,
-			}); err != nil {
-				return err
+			if f, bad := firstNonFinite(
+				namedFloat{"page_avg", p.PageAvg},
+				namedFloat{"run_avg", p.RunAvg},
+			); bad {
+				return f.err(fmt.Sprintf("%s.timeline[%d]", recordLabel(rec), j))
 			}
 		}
 	}
 	return nil
 }
 
-func checkFinite(at string, fields map[string]float64) error {
-	names := make([]string, 0, len(fields))
-	for name := range fields {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if v := fields[name]; math.IsInf(v, 0) || math.IsNaN(v) {
-			return fmt.Errorf("metrics: %s.%s is %v (non-finite values must not reach JSON output)", at, name, v)
+// namedFloat is one float field CheckFinite checks, with its name.
+type namedFloat struct {
+	name string
+	v    float64
+}
+
+// firstNonFinite returns the first of fields, which the caller lists
+// in name order, that is Inf or NaN.
+func firstNonFinite(fields ...namedFloat) (namedFloat, bool) {
+	for _, f := range fields {
+		if math.IsInf(f.v, 0) || math.IsNaN(f.v) {
+			return f, true
 		}
 	}
-	return nil
+	return namedFloat{}, false
+}
+
+// err reports f, a field of the report object at, as non-finite.
+func (f namedFloat) err(at string) error {
+	return fmt.Errorf("metrics: %s.%s is %v (non-finite values must not reach JSON output)", at, f.name, f.v)
+}
+
+// recordLabel names rec in a CheckFinite error.
+func recordLabel(rec *Record) string {
+	return fmt.Sprintf("records[%s/%s/%s]", rec.Kind, rec.Bench, rec.Setup)
 }
 
 // timedRecord pairs a record with its job's wall-clock duration, kept
@@ -531,8 +545,8 @@ type SchedJobTiming struct {
 	WallMS float64 `json:"wall_ms"`
 }
 
-// TimingJSON serializes the timing sidecar (indented, key-sorted like
-// the stable report, but with values that vary run to run).
+// TimingJSON serializes the timing sidecar: indented like the stable
+// report, in declaration order, with values that vary run to run.
 func (c *Collector) TimingJSON(experiment string) ([]byte, error) {
 	timed := c.sorted()
 	c.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -83,23 +84,60 @@ func TestStableJSONSortedAndStable(t *testing.T) {
 	}
 }
 
+// TestStableJSONRejectsNonFinite pins the full error for a non-finite
+// float: the record, the variant, contiguity or timeline point, and
+// the field. Within a record the contiguity is checked first, then the
+// variants in order, then the timeline points; within one of those,
+// the first non-finite field by name is the one reported.
 func TestStableJSONRejectsNonFinite(t *testing.T) {
-	for name, poison := range map[string]func(*Record){
-		"speedup-inf":  func(r *Record) { r.Variants[0].SpeedupPct = math.Inf(1) },
-		"hit-rate-nan": func(r *Record) { r.Variants[0].L1.HitRate = math.NaN() },
-		"rejected-nan": func(r *Record) { r.Variants[0].SubblockRejectedPct = math.NaN() },
+	const rec = "records[bench/Mcf/THS on, normal compaction]"
+	const tail = " (non-finite values must not reach JSON output)"
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name   string
+		poison func(*Record)
+		want   string
+	}{
+		{"speedup-inf", func(r *Record) { r.Variants[0].SpeedupPct = inf },
+			rec + ".variants[baseline].speedup_pct is +Inf"},
+		{"hit-rate-nan", func(r *Record) { r.Variants[0].L1.HitRate = nan },
+			rec + ".variants[baseline].l1.hit_rate is NaN"},
+		{"rejected-nan", func(r *Record) { r.Variants[0].SubblockRejectedPct = nan },
+			rec + ".variants[baseline].subblock_rejected_pct is NaN"},
+		{"two-in-variant", func(r *Record) {
+			r.Variants[0].SpeedupPct = inf
+			r.Variants[0].L2MPMI = nan
+		}, rec + ".variants[baseline].l2_mpmi is NaN"},
+		{"dot-before-underscore", func(r *Record) {
+			r.Variants[0].L1MissRate = nan
+			r.Variants[0].L1.TranslationsPerFill = -inf
+		}, rec + ".variants[baseline].l1.translations_per_fill is -Inf"},
+		{"sup-last", func(r *Record) {
+			r.Variants[0].Sup.TranslationsPerFill = inf
+			r.Variants[0].ModelCycles = nan
+		}, rec + ".variants[baseline].model_cycles is NaN"},
+		{"second-variant", func(r *Record) {
+			v := r.Variants[0]
+			v.Name = "colt"
+			v.Sup.HitRate = nan
+			r.Variants = append(r.Variants, v)
+		}, rec + ".variants[colt].sup.hit_rate is NaN"},
+		{"contiguity-first", func(r *Record) {
+			r.Variants[0].SpeedupPct = inf
+			r.Contig = &Contiguity{PageAvg: nan, RunAvg: inf, FracOver512: 0.5}
+		}, rec + ".contiguity.page_avg is NaN"},
+		{"timeline", func(r *Record) {
+			r.Timeline = []TimelinePoint{{PageAvg: 1, RunAvg: 2}, {PageAvg: 1, RunAvg: -inf}}
+		}, rec + ".timeline[1].run_avg is -Inf"},
 	} {
-		rec := sampleRecord("Mcf")
-		poison(&rec)
-		c := NewCollector()
-		c.Add(rec, 0)
-		_, err := c.Report("fig18", Options{}).StableJSON()
-		if err == nil {
-			t.Errorf("%s: non-finite value serialized without error", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "Mcf") {
-			t.Errorf("%s: error %q does not name the record", name, err)
+		r := sampleRecord("Mcf")
+		c.poison(&r)
+		col := NewCollector()
+		col.Add(r, 0)
+		col.Add(sampleRecord("Astar"), 0)
+		_, err := col.Report("fig18", Options{}).StableJSON()
+		if want := "metrics: " + c.want + tail; err == nil || err.Error() != want {
+			t.Errorf("%s: error %v\nwant %s", c.name, err, want)
 		}
 	}
 }
@@ -262,5 +300,128 @@ func TestAddSpansFlowsIntoTimingSidecar(t *testing.T) {
 	p := tr.Records[0].Phases[0]
 	if p.Name != "simulate" || p.StartRef != 2000 || p.EndRef != 22000 || p.WallMS != 3 {
 		t.Errorf("phase timing %+v", p)
+	}
+}
+
+// reportKeys walks every struct type reachable from t, as encoding/json
+// would encode it, and returns the JSON keys any struct declares out
+// of ascending order (as "Type: key after previous") and every
+// omitempty key. Fields tagged "-" and unexported fields are skipped,
+// and so are the fields of a type with its own MarshalJSON, whose
+// output the report tests check instead.
+func reportKeys(t reflect.Type) (unsorted, optional []string) {
+	marshaler := reflect.TypeFor[json.Marshaler]()
+	seen := map[reflect.Type]bool{}
+	var walk func(t reflect.Type)
+	walk = func(t reflect.Type) {
+		for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice || t.Kind() == reflect.Array {
+			t = t.Elem()
+		}
+		if t.Kind() != reflect.Struct || seen[t] || t.Implements(marshaler) {
+			return
+		}
+		seen[t] = true
+		prev := ""
+		for i := range t.NumField() {
+			f := t.Field(i)
+			tag := f.Tag.Get("json")
+			if !f.IsExported() || tag == "-" {
+				continue
+			}
+			if f.Anonymous {
+				unsorted = append(unsorted, t.String()+": embedded field "+f.Name+" is not supported")
+				continue
+			}
+			name, opts, _ := strings.Cut(tag, ",")
+			if name == "" {
+				name = f.Name
+			}
+			if name <= prev {
+				unsorted = append(unsorted, t.String()+": "+name+" after "+prev)
+			}
+			prev = name
+			if strings.Contains(opts, "omitempty") {
+				optional = append(optional, name)
+			}
+			walk(f.Type)
+		}
+	}
+	walk(t)
+	return unsorted, optional
+}
+
+// TestReportKeysDeclaredSorted guards StableJSON's one pass: every
+// struct a report encodes must declare its fields in ascending
+// JSON-key order, so encoding/json writes them sorted.
+func TestReportKeysDeclaredSorted(t *testing.T) {
+	unsorted, _ := reportKeys(reflect.TypeFor[Report]())
+	for _, u := range unsorted {
+		t.Error(u)
+	}
+}
+
+// fullReport builds a report with every optional field set: options
+// with a fault spec and histograms, records with contiguity, a
+// timeline, spans, both histogram sets and a partial-subblock rejected
+// share, and failures with every flag, plus strings that need HTML
+// and non-ASCII escaping.
+func fullReport() *Report {
+	hist := func(vs ...uint64) *telemetry.Hist {
+		var h telemetry.Hist
+		for _, v := range vs {
+			h.Observe(v)
+		}
+		return h.Snapshot()
+	}
+	rec := sampleRecord("Mcf")
+	rec.Contig = &Contiguity{PageAvg: 12.5, RunAvg: 40.25, SuperPages: 3, NonSuperPages: 900, MaxRun: 512, FracOver512: 0.125}
+	rec.Timeline = []TimelinePoint{{RefsDone: 0, PageAvg: 1.5, RunAvg: 2, MappedPages: 100, Superpages: 512}, {RefsDone: 2000, PageAvg: 3e-7, RunAvg: 1e21, MappedPages: 90}}
+	rec.Spans = []telemetry.Span{{Name: "build", StartRef: 0, EndRef: 0, Wall: time.Second}, {Name: "simulate", StartRef: 200, EndRef: 2200}}
+	rec.Hists = &RecordHists{ContigRun: hist(1, 2, 900), WalkDepth: hist(4, 4, 3)}
+	v := &rec.Variants[0]
+	v.SubblockRejectedPct = 33.3
+	v.Sup = LevelStats{Lookups: 7, Hits: 3, Misses: 4, Fills: 4, CoalescedIn: 12, Evictions: 1, Merges: 2, HitRate: 3.0 / 7, TranslationsPerFill: 4}
+	v.Hists = &VariantHists{CoalesceLen: hist(1, 8, 8), WalkCycles: hist(0, 230, 1<<40), EntryLife: hist(17)}
+	return &Report{
+		Schema:     Schema,
+		Experiment: "fig18 <quick> & µ",
+		Options:    Options{Frames: 1 << 15, Scale: 0.05, ColdScale: 0.5, ChurnOps: 30, Warmup: 200, Refs: 2000, Seed: 0xC017, MidRunChurn: true, FaultSpec: "all=0.01", Histograms: true},
+		Records:    []Record{rec},
+		Failures: []Failure{
+			{Kind: KindBench, Bench: "Astar", Setup: "s", Attempts: 2, Error: "fault: injected <oom> & \"quoted\"\n", Injected: true, TimedOut: true},
+			{Kind: KindContig, Bench: "Gups", Setup: "s", Attempts: 1, Error: "context canceled", Canceled: true},
+		},
+	}
+}
+
+// TestStableJSONMatchesNormalizedEncoding requires the one-pass
+// StableJSON of a report with every optional field set to equal the
+// normalization it replaced: the report marshaled, decoded into an
+// untyped tree with exact numbers, and re-encoded with sorted keys,
+// which is CanonicalJSON indented. Every omitempty key a report can
+// carry must appear in the output.
+func TestStableJSONMatchesNormalizedEncoding(t *testing.T) {
+	r := fullReport()
+	got, err := r.StableJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := CanonicalJSON(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.Indent(&want, canon, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	want.WriteByte('\n')
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("StableJSON differs from the normalized encoding:\n%s\nwant:\n%s", got, want.Bytes())
+	}
+	_, optional := reportKeys(reflect.TypeFor[Report]())
+	for _, key := range append(optional, "buckets") {
+		if !bytes.Contains(got, []byte(`"`+key+`": `)) {
+			t.Errorf("the full report sets no %q", key)
+		}
 	}
 }

@@ -267,7 +267,7 @@ func (b *Buddy) AllocBlock(order int) (arch.PFN, error) {
 		b.pushFree(pfn+arch.PFN(1)<<k, k)
 		b.stats.Splits++
 	}
-	b.markAllocated(pfn, 1<<order)
+	b.phys.markAllocated(pfn, 1<<order)
 	b.stats.Allocs++
 	return pfn, nil
 }
@@ -287,11 +287,12 @@ func (b *Buddy) AllocBlock(order int) (arch.PFN, error) {
 // one insertRange leaves the same lists; they cost k + Σ_{j=1}^{t-1}
 // trailing_zeros(j) = k + (t-1) - popcount(t-1) splits.
 //
-// The fault hook runs before every frame, where AllocBlock would run
-// it. On a veto AllocPages returns the frames taken so far with the
-// hook's error; when memory runs out it counts one failure and returns
-// them with ErrOutOfMemory. n is how many leading entries of out hold
-// frames.
+// An installed fault hook runs before every frame, where AllocBlock
+// would run it; without one, a drained block's frames are marked in
+// one pass. On a veto AllocPages returns the frames taken so far with
+// the hook's error; when memory runs out it counts one failure and
+// returns them with ErrOutOfMemory. n is how many leading entries of
+// out hold frames.
 func (b *Buddy) AllocPages(out []arch.PFN) (n int, err error) {
 	if b.orderOf == nil {
 		panic("mm: allocation from a released Buddy")
@@ -303,7 +304,7 @@ func (b *Buddy) AllocPages(out []arch.PFN) (n int, err error) {
 		if h := b.freeHead[0]; h != 0 {
 			pfn := arch.PFN(h - 1)
 			b.removeFree(pfn, 0)
-			b.markAllocated(pfn, 1)
+			b.phys.markAllocated(pfn, 1)
 			b.stats.Allocs++
 			out[n] = pfn
 			n++
@@ -320,16 +321,18 @@ func (b *Buddy) AllocPages(out []arch.PFN) (n int, err error) {
 		base := arch.PFN(b.freeHead[k] - 1)
 		b.removeFree(base, k)
 		size := 1 << k
-		// The first frame's hook has run; each further frame runs its
-		// own before it is taken.
-		taken := 1
-		for taken < size && n+taken < len(out) {
-			if err = b.vetoed(0); err != nil {
-				break
+		taken := min(size, len(out)-n)
+		if b.failAlloc != nil {
+			// The first frame's hook has run; each further frame runs
+			// its own before it is taken.
+			for t := 1; t < taken; t++ {
+				if err = b.vetoed(0); err != nil {
+					taken = t
+					break
+				}
 			}
-			taken++
 		}
-		b.markAllocated(base, taken)
+		b.phys.markAllocated(base, taken)
 		for j := 0; j < taken; j++ {
 			out[n+j] = base + arch.PFN(j)
 		}
@@ -449,7 +452,7 @@ func (b *Buddy) AllocSpecific(pfn arch.PFN) bool {
 			if after := int(head + arch.PFN(1)<<k - pfn - 1); after > 0 {
 				b.insertRange(pfn+1, after)
 			}
-			b.markAllocated(pfn, 1)
+			b.phys.markAllocated(pfn, 1)
 			b.stats.Allocs++
 			return true
 		}
@@ -477,12 +480,8 @@ func (b *Buddy) FreeRange(pfn arch.PFN, n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("mm: FreeRange length %d", n))
 	}
-	for p := pfn; p < pfn+arch.PFN(n); p++ {
-		if !b.phys.Allocated(p) {
-			panic(fmt.Sprintf("mm: double free of frame %d", p))
-		}
-		b.phys.clearFrame(p)
-	}
+	b.phys.requireAllocated(pfn, n)
+	b.phys.clearFrames(pfn, n)
 	b.stats.Frees++
 	b.freeFrames(pfn, n)
 }
@@ -491,9 +490,7 @@ func (b *Buddy) FreeRange(pfn arch.PFN, n int) {
 // lists after clearing their metadata; used for tails of oversized
 // blocks.
 func (b *Buddy) freeFramesNoStats(pfn arch.PFN, n int) {
-	for p := pfn; p < pfn+arch.PFN(n); p++ {
-		b.phys.clearFrame(p)
-	}
+	b.phys.clearFrames(pfn, n)
 	b.freeFrames(pfn, n)
 }
 
@@ -525,12 +522,6 @@ func (b *Buddy) freeOne(pfn arch.PFN, order int) {
 		b.stats.Merges++
 	}
 	b.pushFree(pfn, order)
-}
-
-func (b *Buddy) markAllocated(pfn arch.PFN, n int) {
-	for p := pfn; p < pfn+arch.PFN(n); p++ {
-		b.phys.setAllocated(p)
-	}
 }
 
 // FragmentationIndex computes Linux's fragmentation index for the given

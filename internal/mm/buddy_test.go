@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -221,6 +222,55 @@ func TestBuddyDoubleFreePanics(t *testing.T) {
 		}
 	}()
 	b.FreeRange(pfn, 1)
+}
+
+// TestFrameStatePanicsNameLowestFrame pins the double-allocation and
+// double-free panics to the lowest offending frame of a run, whether
+// it lies in the run's first bitmap word or a later one, and whatever
+// order the offending frames were made in.
+func TestFrameStatePanicsNameLowestFrame(t *testing.T) {
+	for _, c := range []struct {
+		base arch.PFN
+		n    int
+		bad  []arch.PFN // frames already in the state the call expects not to find
+		want arch.PFN
+	}{
+		{base: 3, n: 40, bad: []arch.PFN{30, 10}, want: 10},
+		{base: 3, n: 150, bad: []arch.PFN{100, 70, 1}, want: 70}, // frame 1 is outside the run
+		{base: 60, n: 100, bad: []arch.PFN{159, 128}, want: 128},
+		{base: 64, n: 64, bad: []arch.PFN{127}, want: 127},
+	} {
+		pm := NewPhysMem(256)
+		for _, p := range c.bad {
+			pm.markAllocated(p, 1)
+		}
+		want := fmt.Sprintf("mm: frame %d allocated twice", c.want)
+		if got := panicText(func() { pm.markAllocated(c.base, c.n) }); got != want {
+			t.Errorf("marking [%d, +%d) with %v allocated: panic %q, want %q", c.base, c.n, c.bad, got, want)
+		}
+		pm.Release()
+
+		pm, b := newTestBuddy(t, 256)
+		if got, err := b.AllocPages(make([]arch.PFN, 256)); got != 256 || err != nil {
+			t.Fatalf("taking every frame: %d, %v", got, err)
+		}
+		for _, p := range c.bad {
+			b.FreeRange(p, 1)
+		}
+		want = fmt.Sprintf("mm: double free of frame %d", c.want)
+		if got := panicText(func() { b.FreeRange(c.base, c.n) }); got != want {
+			t.Errorf("freeing [%d, +%d) with %v free: panic %q, want %q", c.base, c.n, c.bad, got, want)
+		}
+		b.Release()
+		pm.Release()
+	}
+}
+
+// panicText runs fn and returns what it panicked with, or "<nil>".
+func panicText(fn func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	fn()
+	return ""
 }
 
 func TestBuddyFragmentationIndex(t *testing.T) {

@@ -95,16 +95,20 @@ type bulkTwin struct {
 	vetoAt int
 }
 
-func newBulkTwin(frames int) *bulkTwin {
+// newBulkTwin builds one side, with the vetoing fault hook installed
+// when hooked is set.
+func newBulkTwin(frames int, hooked bool) *bulkTwin {
 	tw := &bulkTwin{phys: mm.NewPhysMem(frames)}
 	tw.buddy = mm.NewBuddy(tw.phys)
-	tw.buddy.SetAllocFaultHook(func(int) error {
-		tw.calls++
-		if tw.calls == tw.vetoAt {
-			return errFuzzVeto
-		}
-		return nil
-	})
+	if hooked {
+		tw.buddy.SetAllocFaultHook(func(int) error {
+			tw.calls++
+			if tw.calls == tw.vetoAt {
+				return errFuzzVeto
+			}
+			return nil
+		})
+	}
 	// Owners travel with migrated frames, so the harness has nothing to
 	// rehome.
 	tw.comp = mm.NewCompactor(tw.phys, tw.buddy, nil, mm.CompactionNormal)
@@ -150,84 +154,93 @@ func (tw *bulkTwin) liveRun(pick, max int) (arch.PFN, int) {
 //	0-1: AllocBlock of order 0-2 on both (order > 0 pinned);
 //	2:   AllocPages of 1-600 frames, against AllocBlock(0) calls up to
 //	     the first error;
-//	3:   FreeRange of a live ascending run of movable frames, against
-//	     one FreeRange per frame in ascending order;
+//	3:   FreeRange of a live ascending run of up to 192 movable frames,
+//	     which may start and end anywhere in a bitmap word and span
+//	     several words, against one FreeRange per frame in ascending
+//	     order;
 //	4:   Compact(-1) on both;
 //	5:   arm the fault hook to veto the j-th call from now on both;
 //
-// and 6-7 do nothing. The next byte, when present, sizes the op.
+// and 6-7 do nothing. The next byte, when present, sizes the op. Every
+// sequence runs twice: with the fault hook installed on both twins,
+// and without one, where op 5 does nothing.
 func FuzzBuddyBulkMatchesSequential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		bulk, seq := newBulkTwin(1000), newBulkTwin(1000)
-		defer func() {
+		bulkMatchesSequential(t, ops, true)
+		bulkMatchesSequential(t, ops, false)
+	})
+}
+
+func bulkMatchesSequential(t *testing.T, ops []byte, hooked bool) {
+	bulk, seq := newBulkTwin(1000, hooked), newBulkTwin(1000, hooked)
+	defer func() {
+		for _, tw := range []*bulkTwin{bulk, seq} {
+			tw.buddy.Release()
+			tw.phys.Release()
+		}
+	}()
+	for i := 0; i < len(ops); i++ {
+		op, arg := ops[i], 0
+		if i+1 < len(ops) {
+			arg = int(ops[i+1])
+		}
+		switch op & 7 {
+		case 0, 1:
+			order := int(op>>3) % 3
 			for _, tw := range []*bulkTwin{bulk, seq} {
-				tw.buddy.Release()
-				tw.phys.Release()
-			}
-		}()
-		for i := 0; i < len(ops); i++ {
-			op, arg := ops[i], 0
-			if i+1 < len(ops) {
-				arg = int(ops[i+1])
-			}
-			switch op & 7 {
-			case 0, 1:
-				order := int(op>>3) % 3
-				for _, tw := range []*bulkTwin{bulk, seq} {
-					if pfn, err := tw.buddy.AllocBlock(order); err == nil {
-						for j := 0; j < 1<<order; j++ {
-							tw.phys.SetOwner(pfn+arch.PFN(j), mm.PageOwner{PID: 2}, order == 0)
-						}
+				if pfn, err := tw.buddy.AllocBlock(order); err == nil {
+					for j := 0; j < 1<<order; j++ {
+						tw.phys.SetOwner(pfn+arch.PFN(j), mm.PageOwner{PID: 2}, order == 0)
 					}
 				}
-			case 2:
-				n := 1 + (int(op>>3)<<8|arg)%600
-				i++
-				out := make([]arch.PFN, n)
-				got, err := bulk.buddy.AllocPages(out)
-				bulk.take(out[:got]...)
-				var want []arch.PFN
-				var wantErr error
-				for len(want) < n {
-					pfn, err := seq.buddy.AllocBlock(0)
-					if err != nil {
-						wantErr = err
-						break
-					}
-					want = append(want, pfn)
-				}
-				seq.take(want...)
-				if got != len(want) || err != wantErr {
-					t.Fatalf("op %d: AllocPages(%d) = %d, %v; AllocBlock(0) gave %d, %v", i, n, got, err, len(want), wantErr)
-				}
-			case 3:
-				base, n := bulk.liveRun(int(op>>3), 1+arg%64)
-				i++
-				if n == 0 {
+			}
+		case 2:
+			n := 1 + (int(op>>3)<<8|arg)%600
+			i++
+			out := make([]arch.PFN, n)
+			got, err := bulk.buddy.AllocPages(out)
+			bulk.take(out[:got]...)
+			var want []arch.PFN
+			var wantErr error
+			for len(want) < n {
+				pfn, err := seq.buddy.AllocBlock(0)
+				if err != nil {
+					wantErr = err
 					break
 				}
-				bulk.buddy.FreeRange(base, n)
-				for p := base; p < base+arch.PFN(n); p++ {
-					if !seq.phys.Allocated(p) {
-						t.Fatalf("op %d: frame %d free only on the sequential twin", i, p)
-					}
-					seq.buddy.FreeRange(p, 1)
-				}
-			case 4:
-				bulk.comp.Compact(-1)
-				seq.comp.Compact(-1)
-			case 5:
-				j := 1 + int(op>>3)
-				bulk.vetoAt, seq.vetoAt = bulk.calls+j, seq.calls+j
+				want = append(want, pfn)
 			}
-			if d := mm.DiffBuddies(bulk.buddy, seq.buddy); d != "" {
-				t.Fatalf("op %d (0x%02x): twins differ: %s", i, op, d)
+			seq.take(want...)
+			if got != len(want) || err != wantErr {
+				t.Fatalf("op %d: AllocPages(%d) = %d, %v; AllocBlock(0) gave %d, %v", i, n, got, err, len(want), wantErr)
 			}
-			for _, tw := range []*bulkTwin{bulk, seq} {
-				if vs := invariant.AuditBuddy(tw.buddy); len(vs) != 0 {
-					t.Fatalf("op %d (0x%02x): buddy invariant broken: %v", i, op, vs[0])
+		case 3:
+			base, n := bulk.liveRun(int(op>>3), 1+arg%192)
+			i++
+			if n == 0 {
+				break
+			}
+			bulk.buddy.FreeRange(base, n)
+			for p := base; p < base+arch.PFN(n); p++ {
+				if !seq.phys.Allocated(p) {
+					t.Fatalf("op %d: frame %d free only on the sequential twin", i, p)
 				}
+				seq.buddy.FreeRange(p, 1)
+			}
+		case 4:
+			bulk.comp.Compact(-1)
+			seq.comp.Compact(-1)
+		case 5:
+			j := 1 + int(op>>3)
+			bulk.vetoAt, seq.vetoAt = bulk.calls+j, seq.calls+j
+		}
+		if d := mm.DiffBuddies(bulk.buddy, seq.buddy); d != "" {
+			t.Fatalf("hooked=%v op %d (0x%02x): twins differ: %s", hooked, i, op, d)
+		}
+		for _, tw := range []*bulkTwin{bulk, seq} {
+			if vs := invariant.AuditBuddy(tw.buddy); len(vs) != 0 {
+				t.Fatalf("hooked=%v op %d (0x%02x): buddy invariant broken: %v", hooked, i, op, vs[0])
 			}
 		}
-	})
+	}
 }

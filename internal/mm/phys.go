@@ -125,21 +125,54 @@ func (pm *PhysMem) SetOwner(pfn arch.PFN, owner PageOwner, movable bool) {
 // frames become migratable again).
 func (pm *PhysMem) SetMovable(pfn arch.PFN) { pm.movable[pfn>>6] |= bitOf(pfn) }
 
-// setAllocated marks pfn allocated, panicking if it already is.
-func (pm *PhysMem) setAllocated(pfn arch.PFN) {
-	w := &pm.allocated[pfn>>6]
-	if *w&bitOf(pfn) != 0 {
-		panic(fmt.Sprintf("mm: frame %d allocated twice", pfn))
+// markAllocated marks the frames [pfn, pfn+n) allocated a word at a
+// time, panicking on the lowest frame that already is.
+func (pm *PhysMem) markAllocated(pfn arch.PFN, n int) {
+	for p, end := pfn, pfn+arch.PFN(n); p < end; {
+		w, mask, next := wordSpan(p, end)
+		if taken := pm.allocated[w] & mask; taken != 0 {
+			panic(fmt.Sprintf("mm: frame %d allocated twice", lowestFrame(w, taken)))
+		}
+		pm.allocated[w] |= mask
+		p = next
 	}
-	*w |= bitOf(pfn)
 }
 
-// clearFrame returns pfn to the free state: not allocated, not
-// movable, no owner.
-func (pm *PhysMem) clearFrame(pfn arch.PFN) {
-	pm.allocated[pfn>>6] &^= bitOf(pfn)
-	pm.movable[pfn>>6] &^= bitOf(pfn)
-	pm.owners[pfn] = PageOwner{}
+// requireAllocated panics on the lowest frame of [pfn, pfn+n) that is
+// not allocated: freeing it would be a double free.
+func (pm *PhysMem) requireAllocated(pfn arch.PFN, n int) {
+	for p, end := pfn, pfn+arch.PFN(n); p < end; {
+		w, mask, next := wordSpan(p, end)
+		if free := mask &^ pm.allocated[w]; free != 0 {
+			panic(fmt.Sprintf("mm: double free of frame %d", lowestFrame(w, free)))
+		}
+		p = next
+	}
+}
+
+// clearFrames returns the frames [pfn, pfn+n) to the free state: not
+// allocated, not movable, no owner.
+func (pm *PhysMem) clearFrames(pfn arch.PFN, n int) {
+	for p, end := pfn, pfn+arch.PFN(n); p < end; {
+		w, mask, next := wordSpan(p, end)
+		pm.allocated[w] &^= mask
+		pm.movable[w] &^= mask
+		p = next
+	}
+	clear(pm.owners[pfn : pfn+arch.PFN(n)])
+}
+
+// wordSpan returns the bitmap word holding frame p, the mask of the
+// frames [p, end) within that word, and the first frame past them.
+func wordSpan(p, end arch.PFN) (w int, mask uint64, next arch.PFN) {
+	next = min(end, (p|63)+1)
+	return int(p >> 6), ^uint64(0) >> (64 - (next - p)) << (p & 63), next
+}
+
+// lowestFrame returns the frame of the lowest set bit of set, a mask
+// within word w.
+func lowestFrame(w int, set uint64) arch.PFN {
+	return arch.PFN(w)<<6 | arch.PFN(bits.TrailingZeros64(set))
 }
 
 // AllocatedFrames counts currently allocated frames.

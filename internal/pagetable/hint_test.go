@@ -54,7 +54,8 @@ func listing(tb *Table) []arch.Translation {
 // mappings. The VPNs crowd eight offsets of a few 512-page blocks (one
 // block an alias of another above the 36-bit VPN range), and half the
 // operations stay in the previous one's block, so hinted operations,
-// emptied leaves and prunes are all frequent. An occasional injected
+// emptied leaves and prunes are all frequent. MapRun maps runs of up to
+// eight pages from an operation's page. An occasional injected
 // allocation failure and Release/New cover the error and teardown
 // paths, and restart blocks that a SplitHuge filled.
 func TestLeafHintDifferential(t *testing.T) {
@@ -93,7 +94,7 @@ func TestLeafHintDifferential(t *testing.T) {
 			fail := r.Intn(25) == 0
 			var name string
 			var op func(tb *Table) string
-			switch r.Intn(16) {
+			switch r.Intn(17) {
 			case 0:
 				name, op = "Reserve", func(tb *Table) string { return fmt.Sprint(tb.Reserve(vpn)) }
 			case 1, 2, 12:
@@ -114,6 +115,15 @@ func TestLeafHintDifferential(t *testing.T) {
 				name, op = "Lookup", func(tb *Table) string { return fmt.Sprint(tb.Lookup(vpn)) }
 			case 10:
 				name, op = "Resolve", func(tb *Table) string { return fmt.Sprint(tb.Resolve(vpn)) }
+			case 15:
+				// A run of up to eight pages from vpn, inside its block.
+				run := make([]arch.PFN, 1+r.Intn(min(8, int(fanout-vpn%fanout))))
+				for i := range run {
+					run[i] = pfn + arch.PFN(i)
+				}
+				name, op = "MapRun", func(tb *Table) string {
+					return fmt.Sprint(tb.MapRun(vpn, run, basePTE(0).Attr))
+				}
 			case 11:
 				name, op = "LineInto", func(tb *Table) string {
 					var group [arch.PTEsPerLine]arch.Translation

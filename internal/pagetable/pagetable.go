@@ -207,6 +207,44 @@ func (t *Table) Map(vpn arch.VPN, pte arch.PTE) error {
 	return nil
 }
 
+// MapRun installs 4 KB translations for a run of pages inside one
+// 512-page block: page vpn+i maps pfns[i], every page with attr, which
+// must be present. It leaves the table as a Map per page in ascending
+// order would: one lookup finds or builds the block's PT node, where
+// the first Map would, and each page fills its slot. If any page of
+// the run is already mapped, MapRun maps none of them and returns
+// ErrAlreadyMapped; a Map loop would have mapped the pages before the
+// first mapped one. An empty run does nothing.
+func (t *Table) MapRun(vpn arch.VPN, pfns []arch.PFN, attr arch.Attr) error {
+	if len(pfns) == 0 {
+		return nil
+	}
+	t.dirty()
+	if !attr.Has(arch.AttrPresent) {
+		return fmt.Errorf("pagetable: MapRun requires present attributes, got %v", attr)
+	}
+	end := vpn + arch.VPN(len(pfns))
+	if (end-1)>>bitsPerLevel != vpn>>bitsPerLevel {
+		panic(fmt.Sprintf("pagetable: MapRun [%d, %d) crosses a 512-page block", vpn, end))
+	}
+	n, err := t.ptNode(vpn, "allocating")
+	if err != nil {
+		return err
+	}
+	slots := n.ptes[levelIndex(vpn, LeafLevel):][:len(pfns)]
+	for _, pte := range slots {
+		if pte.Present() {
+			return ErrAlreadyMapped
+		}
+	}
+	for i, pfn := range pfns {
+		slots[i] = arch.PTE{PFN: pfn, Attr: attr}
+	}
+	n.live += len(pfns)
+	t.mappedBase += len(pfns)
+	return nil
+}
+
 // MapHuge installs a 2 MB translation: baseVPN must be 512-aligned and
 // pte.Huge set with a 512-aligned PFN.
 func (t *Table) MapHuge(baseVPN arch.VPN, pte arch.PTE) error {

@@ -63,15 +63,16 @@ func (h *Hist) Snapshot() *Hist {
 // MarshalJSON encodes the histogram with its trailing zero buckets
 // trimmed, so small distributions stay small on disk. All counts are
 // integers, so the encoding is exactly reproducible and golden-safe.
+// The keys come out sorted, which a metrics report relies on.
 func (h Hist) MarshalJSON() ([]byte, error) {
 	n := len(h.Buckets)
 	for n > 0 && h.Buckets[n-1] == 0 {
 		n--
 	}
 	return json.Marshal(struct {
-		Count   uint64   `json:"count"`
-		Sum     uint64   `json:"sum"`
-		Max     uint64   `json:"max"`
 		Buckets []uint64 `json:"buckets,omitempty"`
-	}{h.Count, h.Sum, h.Max, h.Buckets[:n]})
+		Count   uint64   `json:"count"`
+		Max     uint64   `json:"max"`
+		Sum     uint64   `json:"sum"`
+	}{h.Buckets[:n], h.Count, h.Max, h.Sum})
 }

@@ -8,11 +8,12 @@ import "time"
 // they are all a report record's JSON carries. Wall is the wall-clock
 // duration of the same interval and must never reach a golden-diffed
 // report; the metrics layer copies it only into the non-golden
-// .timing.json sidecar.
+// .timing.json sidecar. The fields are declared in JSON-key order,
+// which a metrics report relies on.
 type Span struct {
+	EndRef   uint64        `json:"end_ref"`
 	Name     string        `json:"name"`
 	StartRef uint64        `json:"start_ref"`
-	EndRef   uint64        `json:"end_ref"`
 	Wall     time.Duration `json:"-"`
 }
 

@@ -166,7 +166,8 @@ func TestHistBucketsAndMerge(t *testing.T) {
 }
 
 // TestHistSnapshotJSON: a snapshot is a copy that later observations
-// leave alone, and its JSON trims the trailing zero buckets.
+// leave alone, and its JSON trims the trailing zero buckets and sorts
+// its keys.
 func TestHistSnapshotJSON(t *testing.T) {
 	var h Hist
 	h.Observe(0)
@@ -177,7 +178,7 @@ func TestHistSnapshotJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"count":2,"sum":5,"max":5,"buckets":[1,0,0,1]}`; string(b) != want {
+	if want := `{"buckets":[1,0,0,1],"count":2,"max":5,"sum":5}`; string(b) != want {
 		t.Fatalf("snapshot JSON = %s, want %s", b, want)
 	}
 }

@@ -267,18 +267,17 @@ func (p *Process) populate(r *Region) error {
 	return nil
 }
 
-// mapRun maps r's pages from vpn to the just-faulted frames pfns, one
-// Map each (the leaf hint that Reserve left spares them the descent),
-// and records their owner.
+// mapRun maps r's pages from vpn to the just-faulted frames pfns, a run
+// inside one PT block, with one MapRun (the leaf hint that Reserve left
+// spares it the descent), and records their owner.
 func (p *Process) mapRun(r *Region, vpn arch.VPN, pfns []arch.PFN, attr arch.Attr) error {
-	for i, pfn := range pfns {
-		page := vpn + arch.VPN(i)
-		if err := p.Table.Map(page, arch.PTE{PFN: pfn, Attr: attr}); err != nil {
-			return err
-		}
-		p.sys.Phys.SetOwner(pfn, mm.PageOwner{PID: p.PID, VPN: page}, !r.Pinned)
-		r.mapped++
+	if err := p.Table.MapRun(vpn, pfns, attr); err != nil {
+		return err
 	}
+	for i, pfn := range pfns {
+		p.sys.Phys.SetOwner(pfn, mm.PageOwner{PID: p.PID, VPN: vpn + arch.VPN(i)}, !r.Pinned)
+	}
+	r.mapped += len(pfns)
 	return nil
 }
 
